@@ -14,7 +14,6 @@ from .estimator import (
     EstimateReport,
     EstimatorParams,
     RunSizeExceeded,
-    cache_heavy_verdicts,
     estimate,
     estimate_with_advice,
     feige_avg_degree,
@@ -73,7 +72,6 @@ __all__ = [
     "QueryStats",
     "RunSizeExceeded",
     "TriangleStats",
-    "cache_heavy_verdicts",
     "classify_heavy",
     "count_brute",
     "count_ordered",

@@ -20,12 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import count_ordered
-from .heavy import HEAVY, LIGHT, HeavyParams, ceil_div_by_sqrt, classify_heavy, lower_median
+from .heavy import HEAVY, LIGHT, HeavyParams, ceil_div_by_sqrt, classify_heavy, closing_probes, lower_median
 from .query_oracle import BudgetExhausted, QueryOracle
 
 # The theoretical profile shrinks eps for advice runs by 3 times this
 # constant, matching the accuracy the heavy-verdict analysis charges for.
 ADVICE_SHRINK_C = 2000.0
+
+# Feige stage sizing: each of ceil(10 ln n) invocations averages
+# ceil(FEIGE_C * sqrt(n) / FEIGE_EPS) sampled degrees.
+FEIGE_C = 10.0
+FEIGE_EPS = 0.5
 
 # Mixing constant (splitmix64's) for deriving per-vertex verdict seeds.
 _MIX = 0x9E3779B97F4A7C15
@@ -57,25 +62,25 @@ class Advice:
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Effort knobs for the estimator.
+    """Effort knobs for the estimator; the defaults are the theoretical profile.
+
+    s2_scale:          multiplier on an advice run's s2 edge samples.
+    heavy_params:      the classifier's effort (HeavyParams).
+    min_runs:          advice runs per t_bar level; None means
+                       ceil(ln ln n / eps).
+    shrink_advice_eps: whether estimate() shrinks eps for advice runs by
+                       3 * ADVICE_SHRINK_C, as the analysis charges for.
 
     The theoretical profile keeps every constant from the analysis (and is
     impractically slow outside tiny instances). The practical profile scales
     the sampling efforts down and skips the eps-shrink; it no longer carries
-    the worst-case guarantee, and is labeled accordingly.
+    the worst-case guarantee.
     """
 
-    c1: float = 1.0
-    c2: float = 1.0
-    s1_scale: float = 1.0
     s2_scale: float = 1.0
     heavy_params: HeavyParams = field(default_factory=HeavyParams)
     min_runs: int | None = None
-    feige_c: float = 10.0
-    feige_eps: float = 0.5
-    feige_reps: int | None = None
     shrink_advice_eps: bool = True
-    label: str = "theoretical"
 
     @classmethod
     def theoretical(cls) -> "EstimatorParams":
@@ -88,7 +93,6 @@ class EstimatorParams:
             heavy_params=HeavyParams.practical(),
             min_runs=2,
             shrink_advice_eps=False,
-            label="practical",
         )
 
     def resolve_runs(self, n: int, eps: float) -> int:
@@ -96,11 +100,6 @@ class EstimatorParams:
             return self.min_runs
         loglog = math.log(max(math.log(max(n, 3)), math.e))
         return max(1, math.ceil(loglog / eps))
-
-    def resolve_feige_reps(self, n: int) -> int:
-        if self.feige_reps is not None:
-            return self.feige_reps
-        return max(1, math.ceil(10.0 * math.log(max(n, 2))))
 
 
 class DegreeWeightedSampler:
@@ -124,23 +123,6 @@ class DegreeWeightedSampler:
         return int(self.vertices[idx])
 
 
-def cache_heavy_verdicts(policy: str = "per_run") -> dict[int, str] | None:
-    """Build the verdict store realizing the chosen reuse policy.
-
-    "per_run" returns a fresh empty store: every vertex is classified at most
-    once per run (with per-vertex seeded coins) and the verdict is reused on
-    later encounters. "off" returns None, meaning no reuse: every encounter
-    re-runs the classifier with fresh coins, so verdicts may flip between
-    encounters. Off is a diagnostic mode only; the estimator's accounting
-    assumes fixed verdicts within a run.
-    """
-    if policy == "per_run":
-        return {}
-    if policy == "off":
-        return None
-    raise ValueError(f"unknown verdict cache policy: {policy!r}")
-
-
 def _split(seed) -> tuple[random.Random, np.random.Generator, int]:
     """Derive (scalar rng, batch rng, verdict seed base) from one seed."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -159,7 +141,6 @@ def estimate_with_advice(
     params: EstimatorParams | None = None,
     seed=None,
     verdict_cache: dict[int, str] | None = None,
-    verdict_policy: str = "per_run",
 ) -> float:
     """One advice-driven estimate X of the triangle count.
 
@@ -171,12 +152,14 @@ def estimate_with_advice(
     score so that E[X] is the total weight over light vertices, which is at
     most t for every heavy/light split and close to t for good advice.
 
-    The probe count is Bernoulli(d_u / sqrt(m_bar)) when d_u^2 <= m_bar and
-    ceil(d_u / sqrt(m_bar)) otherwise, so low-degree endpoints usually cost
-    nothing. verdict_cache maps vertex -> verdict and may be shared between
-    runs; verdict randomness is seeded per vertex, so a shared cache realizes
-    fixed coins across the sharing runs. When no cache is passed, one is
-    built per cache_heavy_verdicts(verdict_policy).
+    A sample probes at all with probability min(1, d_u / sqrt(m_bar)) and
+    then makes ceil(d_u / sqrt(m_bar)) probes (one when d_u^2 <= m_bar), so
+    low-degree endpoints usually cost nothing. Every vertex is classified at
+    most once, with coins seeded per vertex, and its verdict is kept in
+    verdict_cache (vertex -> verdict; a new dict when none is passed). A cache
+    shared between runs realizes fixed coins across the sharing runs.
+    params defaults to the practical profile. Only its s2_scale and
+    heavy_params act here; min_runs and shrink_advice_eps act in estimate.
     """
     if params is None:
         params = EstimatorParams.practical()
@@ -184,12 +167,12 @@ def estimate_with_advice(
     if m_bar <= 0 or t_bar <= 0:
         raise ValueError("advice must be positive")
     if verdict_cache is None:
-        verdict_cache = cache_heavy_verdicts(verdict_policy)
+        verdict_cache = {}
     rng, np_rng, verdict_base = _split(seed)
     n = oracle.n
 
-    s1 = max(1, math.ceil(params.s1_scale * params.c1 * eps**-3 * math.log(n / eps) * n / t_bar ** (1.0 / 3.0)))
-    s2 = max(1, math.ceil(params.s2_scale * params.c2 * eps**-4 * math.log(n) ** 2 * m_bar**1.5 / t_bar))
+    s1 = max(1, math.ceil(eps**-3 * math.log(n / eps) * n / t_bar ** (1.0 / 3.0)))
+    s2 = max(1, math.ceil(params.s2_scale * eps**-4 * math.log(n) ** 2 * m_bar**1.5 / t_bar))
     if s1 > MAX_RUN_SAMPLES or s2 > MAX_RUN_SAMPLES:
         raise RunSizeExceeded(
             f"run wants s1={s1} and s2={s2} samples, over the {MAX_RUN_SAMPLES} "
@@ -203,8 +186,6 @@ def estimate_with_advice(
     sqrt_m = math.sqrt(m_bar)
 
     def verdict(u: int) -> str:
-        if verdict_cache is None:
-            return classify_heavy(oracle, u, m_bar, t_bar, eps, params.heavy_params, rng).verdict
         val = verdict_cache.get(u)
         if val is None:
             vrng = random.Random((verdict_base ^ (u * _MIX)) & _MASK)
@@ -214,33 +195,18 @@ def estimate_with_advice(
 
     q_degree = oracle.q_degree
     q_edge = oracle.q_random_edge_at
-    q_pair = oracle.q_pair
     y_sum = 0.0
     for _ in range(s2):
         v = sampler.draw(rng)
         _, x = q_edge(v, rng)
         d_v = q_degree(v)
         d_x = q_degree(x)
-        if d_x < d_v or (d_x == d_v and x < v):
-            u, o, d_u = x, v, d_x
-        else:
-            u, o, d_u = v, x, d_v
-        if d_u * d_u <= m_bar:
-            if rng.random() >= d_u / sqrt_m:
-                continue
-            r = 1
-        else:
-            r = ceil_div_by_sqrt(d_u, m_bar)
+        d_u = min(d_v, d_x)
+        if d_u * d_u <= m_bar and rng.random() >= d_u / sqrt_m:
+            continue
+        r = ceil_div_by_sqrt(d_u, m_bar)
         z_sum = 0.0
-        for _ in range(r):
-            _, w = q_edge(u, rng)
-            if w == v or w == x:
-                continue
-            if not q_pair(o, w):
-                continue
-            d_w = q_degree(w)
-            if not (d_x < d_w or (d_x == d_w and x < w)):
-                continue
+        for w in closing_probes(oracle, v, x, d_v, d_x, r, rng):
             lv = verdict(v)
             lx = verdict(x)
             lw = verdict(w)
@@ -252,25 +218,18 @@ def estimate_with_advice(
     return n / (s1 * s2) * sampler.total_degree * y_sum
 
 
-def feige_avg_degree(
-    oracle: QueryOracle,
-    eps_f: float = 0.5,
-    c: float = 10.0,
-    reps: int | None = None,
-    seed=None,
-) -> float:
+def feige_avg_degree(oracle: QueryOracle, seed=None) -> float:
     """Estimate the average degree from uniform degree samples.
 
-    Each invocation averages ceil(c * sqrt(n) / eps_f) sampled degrees; the
-    lower median over ceil(10 ln n) invocations (default) is returned. The
+    Each invocation averages ceil(FEIGE_C * sqrt(n) / FEIGE_EPS) sampled
+    degrees; the lower median over ceil(10 ln n) invocations is returned. The
     result lands in [d_avg / (2 + o(1)), d_avg] with constant probability per
     invocation, amplified by the median.
     """
     _, np_rng, _ = _split(seed)
     n = oracle.n
-    if reps is None:
-        reps = max(1, math.ceil(10.0 * math.log(max(n, 2))))
-    k = max(1, math.ceil(c * math.sqrt(n) / eps_f))
+    reps = max(1, math.ceil(10.0 * math.log(max(n, 2))))
+    k = max(1, math.ceil(FEIGE_C * math.sqrt(n) / FEIGE_EPS))
     means = []
     for _ in range(reps):
         vs = oracle.sample_vertices(k, np_rng)
@@ -342,9 +301,7 @@ def estimate(
     feige_ss, loop_ss = root.spawn(2)
     loop_entropy = int(loop_ss.generate_state(2, np.uint64)[0])
 
-    d_bar = feige_avg_degree(
-        oracle, params.feige_eps, params.feige_c, params.resolve_feige_reps(n), feige_ss
-    )
+    d_bar = feige_avg_degree(oracle, seed=feige_ss)
     m_bar = n * d_bar / 2.0
     if oracle.budget_cap is None:
         oracle.set_budget(math.ceil(2.0 * m_bar))
@@ -363,7 +320,7 @@ def estimate(
             t_bar = float(n) ** 3
             level = 0
             while t_bar >= t_tilde:
-                cache = cache_heavy_verdicts("per_run")
+                cache: dict[int, str] = {}
                 xs = []
                 for run_i in range(runs_per):
                     run_ss = np.random.SeedSequence(

@@ -93,8 +93,10 @@ class Graph:
     def _check_invariants(self) -> None:
         # Degree sum must equal twice the edge count, and no vertex may have
         # more higher-order neighbors than sqrt(2m) allows (a structural fact
-        # about the (degree, id) order on simple graphs).
-        assert int(self.degrees.sum()) == 2 * self.m
+        # about the (degree, id) order on simple graphs). Real exceptions, so
+        # python -O cannot strip the checks.
+        if int(self.degrees.sum()) != 2 * self.m:
+            raise RuntimeError("degree sum is not twice the edge count")
         if self.m == 0:
             return
         n = self.n
@@ -103,7 +105,8 @@ class Graph:
         succ_mask = key[self._nbrs] > key[src]
         succ_counts = np.bincount(src[succ_mask], minlength=n)
         bound = math.isqrt(2 * self.m)
-        assert int(succ_counts.max()) <= bound, "successor bound violated"
+        if int(succ_counts.max()) > bound:
+            raise RuntimeError("successor bound violated")
 
     # -- queries ----------------------------------------------------------
 

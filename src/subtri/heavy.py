@@ -51,12 +51,38 @@ def ceil_div_by_sqrt(d: int, m_bar: float) -> int:
     """ceil(d / sqrt(m_bar)) computed exactly via integer cross-multiplication."""
     if d <= 0:
         return 0
+    if d * d <= m_bar:
+        return 1
     r = max(1, math.ceil(d / math.sqrt(m_bar)))
     while r > 1 and (r - 1) * (r - 1) * m_bar >= d * d:
         r -= 1
     while r * r * m_bar < d * d:
         r += 1
     return r
+
+
+def closing_probes(oracle, v: int, x: int, d_v: int, d_x: int, r: int, rng: random.Random):
+    """Probe r uniform neighbors w of the order-smaller endpoint of edge (v, x).
+
+    The order is by (degree, id). Yields, in probe order, each w that closes
+    the triangle {v, x, w} with x before w in that order. Lazy on purpose:
+    callers may spend queries between probes, and a budget trip must land
+    at the same query either way. Each probe draws and meters like
+    q_random_edge_at at the smaller endpoint, whose degree the caller has
+    already queried.
+    """
+    if d_x < d_v or (d_x == d_v and x < v):
+        u, o, d_u = x, v, d_x
+    else:
+        u, o, d_u = v, x, d_v
+    q_neighbor = oracle.q_neighbor
+    for _ in range(r):
+        w = q_neighbor(u, rng.randrange(d_u) + 1)
+        if w == v or w == x or not oracle.q_pair(o, w):
+            continue
+        d_w = oracle.q_degree(w)
+        if d_x < d_w or (d_x == d_w and x < w):
+            yield w
 
 
 @dataclass(frozen=True)
@@ -120,19 +146,20 @@ def classify_heavy(
 ) -> HeavyVerdict:
     """Classify vertex v as HEAVY or LIGHT through the oracle.
 
-    Sampling: repeatedly pick a uniform edge (v, x), let u be the order-
-    smaller endpoint, probe ceil(d_u / sqrt(m_bar)) uniform neighbors of u,
-    and score d_u whenever the probe closes a triangle oriented so that x
-    precedes w. Each repetition's scores average to an estimate of t_v; the
-    median of all repetitions decides the verdict.
+    Sampling: repeatedly pick a uniform edge (v, x) and score d_u, the
+    smaller endpoint degree, for each of closing_probes' ceil(d_u /
+    sqrt(m_bar)) probes that closes a triangle with x before w. Each
+    repetition's scores average to an estimate of t_v; the median of all
+    repetitions decides the verdict.
 
-    The rng drives every draw; pass a per-vertex seeded instance for
+    The rng drives every draw and is required (it defaults to None only so
+    that params can keep its default); pass a per-vertex seeded instance for
     fixed-coins behavior (the same vertex always gets the same verdict).
     """
+    if rng is None:
+        raise TypeError("classify_heavy() needs an rng")
     if params is None:
         params = HeavyParams()
-    if rng is None:
-        rng = oracle._rng
     eps = min(eps, 0.5)
     before = oracle.stats.total
     d_v = oracle.q_degree(v)
@@ -146,29 +173,18 @@ def classify_heavy(
 
     q_degree = oracle.q_degree
     q_edge = oracle.q_random_edge_at
-    q_pair = oracle.q_pair
     estimates = []
     for _ in range(reps):
         y_total = 0.0
         for _ in range(s):
             _, x = q_edge(v, rng)
             d_x = q_degree(x)
-            if d_x < d_v or (d_x == d_v and x < v):
-                u, o, d_u = x, v, d_x
-            else:
-                u, o, d_u = v, x, d_v
+            d_u = min(d_v, d_x)
             r = ceil_div_by_sqrt(d_u, m_bar)
-            z_sum = 0
-            for _ in range(r):
-                _, w = q_edge(u, rng)
-                if w == v or w == x:
-                    continue
-                if not q_pair(o, w):
-                    continue
-                d_w = q_degree(w)
-                if d_x < d_w or (d_x == d_w and x < w):
-                    z_sum += d_u
-            y_total += z_sum / r
+            hits = 0
+            for _ in closing_probes(oracle, v, x, d_v, d_x, r, rng):
+                hits += 1
+            y_total += hits * d_u / r
         estimates.append(d_v * y_total / s)
     verdict = HEAVY if lower_median(estimates) > threshold else LIGHT
     return HeavyVerdict(verdict, tuple(estimates), oracle.stats.total - before)

@@ -218,7 +218,8 @@ def gen_g2_multi_matching(n: int, side: int, r: int, seed=None, shuffle: bool = 
     t = int(count_ordered(graph).t)
     lo = r * s * (s - 2 * r)
     hi = r * s * (s - 2) + r * r * s
-    assert lo <= t <= hi, f"triangle count {t} outside certified band [{lo}, {hi}]"
+    if not lo <= t <= hi:
+        raise RuntimeError(f"triangle count {t} outside certified band [{lo}, {hi}]")
     return GenResult(
         graph=graph,
         edges=edges,

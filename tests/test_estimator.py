@@ -17,7 +17,6 @@ from subtri import (
     HeavyParams,
     QueryOracle,
     RunSizeExceeded,
-    cache_heavy_verdicts,
     count_ordered,
     estimate,
     estimate_with_advice,
@@ -178,14 +177,6 @@ class TestAdviceRuns:
 
 
 class TestVerdictCache:
-    def test_policy_values(self):
-        store = cache_heavy_verdicts("per_run")
-        assert store == {}
-        assert cache_heavy_verdicts("per_run") is not store
-        assert cache_heavy_verdicts("off") is None
-        with pytest.raises(ValueError, match="policy"):
-            cache_heavy_verdicts("sometimes")
-
     def test_preclassified_heavy_vertices_zero_the_estimate(self):
         g = complete_graph(8)
         cache = {v: HEAVY for v in range(8)}
@@ -206,7 +197,7 @@ class TestVerdictCache:
         g = complete_graph(8)
         # Full-effort s2 so plenty of oriented hits trigger classification.
         params = EstimatorParams(heavy_params=HeavyParams.practical())
-        cache = cache_heavy_verdicts("per_run")
+        cache = {}
         o = fresh_oracle(g, seed=0)
         estimate_with_advice(o, 28.0, 56.0, 0.5, params=params, seed=0, verdict_cache=cache)
         assert cache
@@ -215,11 +206,6 @@ class TestVerdictCache:
         estimate_with_advice(o, 28.0, 56.0, 0.5, params=params, seed=1, verdict_cache=cache)
         for v, verdict in snapshot.items():
             assert cache[v] == verdict
-
-    def test_off_policy_runs_without_a_store(self):
-        o = fresh_oracle(complete_graph(8), seed=4)
-        x = estimate_with_advice(o, 28.0, 56.0, 0.5, seed=4, verdict_policy="off")
-        assert x >= 0.0
 
 
 class TestFeige:

@@ -1,6 +1,11 @@
 """Tests for adjacency storage, the vertex order, and the edge-list format."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,6 +143,51 @@ class TestInvariants:
         g = Graph.from_edges(n, [(i, n - 1) for i in range(n - 1)])
         center = n - 1
         assert all(not g.precedes(center, v) for v in range(n - 1))
+
+
+def raw_graph(n: int, m: int, degrees, nbrs) -> Graph:
+    """A Graph built straight from CSR arrays, skipping from_edges' checks."""
+    degrees = np.asarray(degrees, dtype=np.int64)
+    off = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    nbrs = np.asarray(nbrs, dtype=np.int64)
+    return Graph(n, m, degrees, off, nbrs, np.sort(nbrs))
+
+
+class TestInvariantExceptions:
+    def test_degree_sum_mismatch_raises(self):
+        g = raw_graph(3, 2, [2, 2, 2], [1, 2, 0, 2, 0, 1])
+        with pytest.raises(RuntimeError, match="degree sum"):
+            g._check_invariants()
+
+    def test_successor_bound_violation_raises(self):
+        # Vertex 0 lists vertex 1 three times; all three come after it in the
+        # (degree, id) order, over the isqrt(2m) = 2 bound.
+        g = raw_graph(2, 3, [3, 3], [1, 1, 1, 0, 0, 0])
+        with pytest.raises(RuntimeError, match="successor bound"):
+            g._check_invariants()
+
+    def test_checks_survive_python_O(self):
+        code = textwrap.dedent(
+            """
+            import numpy as np
+            from subtri import Graph
+            assert False, "asserts must be stripped under -O"
+            d = np.array([3, 3], dtype=np.int64)
+            nbrs = np.array([1, 1, 1, 0, 0, 0], dtype=np.int64)
+            g = Graph(2, 3, d, np.array([0, 3, 6], dtype=np.int64), nbrs, np.sort(nbrs))
+            try:
+                g._check_invariants()
+            except RuntimeError as exc:
+                print("raised:", exc)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised: successor bound violated"
 
 
 class TestLoadEdgeList:

@@ -74,7 +74,7 @@ class TestShortcuts:
     def test_isolated_vertex_is_light(self):
         g = Graph.from_edges(3, [(0, 1)])
         o = QueryOracle(g, seed=0)
-        verdict = classify_heavy(o, 2, m_bar=1, t_bar=1, eps=0.5)
+        verdict = classify_heavy(o, 2, m_bar=1, t_bar=1, eps=0.5, rng=random.Random(0))
         assert verdict.verdict == LIGHT
         assert verdict.medians == ()
         assert verdict.queries_used == 1
@@ -82,7 +82,7 @@ class TestShortcuts:
     def test_high_degree_is_heavy_without_sampling(self):
         o, center = star_oracle(99)
         # degree 99 against cutoff 2 * 99 / (0.5 * 1000)^(1/3), about 25.
-        verdict = classify_heavy(o, center, m_bar=99, t_bar=1000, eps=0.5)
+        verdict = classify_heavy(o, center, m_bar=99, t_bar=1000, eps=0.5, rng=random.Random(0))
         assert verdict.verdict == HEAVY
         assert verdict.medians == ()
         assert verdict.queries_used == 1

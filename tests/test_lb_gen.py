@@ -1,8 +1,11 @@
 """Tests for the hard-instance generators and their certified triangle counts."""
 
+import types
+
 import numpy as np
 import pytest
 
+from subtri import lb_gen
 from subtri import (
     Graph,
     count_ordered,
@@ -113,6 +116,11 @@ class TestMultiMatching:
             gen_g2_multi_matching(32, 16, 3, seed=0)
         with pytest.raises(ValueError, match="r <= side/8"):
             gen_g2_multi_matching(32, 16, 0, seed=0)
+
+    def test_count_outside_band_raises(self, monkeypatch):
+        monkeypatch.setattr(lb_gen, "count_ordered", lambda graph: types.SimpleNamespace(t=0))
+        with pytest.raises(RuntimeError, match="outside certified band"):
+            gen_g2_multi_matching(32, 16, 2, seed=0)
 
     def test_certified_across_seeds(self):
         for seed in range(5):

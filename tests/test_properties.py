@@ -1,0 +1,133 @@
+"""Property tests: oracle metering rules and the exact counters against networkx."""
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from subtri import BudgetExhausted, Graph, QueryOracle, count_brute, count_ordered
+
+
+@st.composite
+def graphs(draw, min_n=2, max_n=12):
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def graph_and_queries(draw):
+    g = draw(graphs())
+    vertex = st.integers(0, g.n - 1)
+    distinct_pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    query = st.one_of(
+        st.tuples(st.just("degree"), vertex),
+        st.tuples(st.just("neighbor"), vertex, st.integers(1, g.n)),
+        st.tuples(st.just("pair"), distinct_pair),
+    )
+    return g, draw(st.lists(query, max_size=60))
+
+
+def ask(oracle: QueryOracle, q):
+    kind = q[0]
+    if kind == "degree":
+        return oracle.q_degree(q[1])
+    if kind == "neighbor":
+        return oracle.q_neighbor(q[1], q[2])
+    return oracle.q_pair(*q[1])
+
+
+class Revealed:
+    """What a caller has learned; a query outside it is a new distinct query."""
+
+    def __init__(self):
+        self.slots: set[tuple[int, int]] = set()
+        self.pairs: set[frozenset] = set()
+
+    def is_new_charged(self, q) -> bool:
+        if q[0] == "neighbor":
+            return (q[1], q[2]) not in self.slots
+        if q[0] == "pair":
+            return frozenset(q[1]) not in self.pairs
+        return False
+
+    def learn(self, q, answer) -> None:
+        if q[0] == "neighbor":
+            self.slots.add((q[1], q[2]))
+            if answer is not None:
+                self.pairs.add(frozenset((q[1], answer)))
+        elif q[0] == "pair":
+            self.pairs.add(frozenset(q[1]))
+
+
+def charged_ok(oracle: QueryOracle) -> bool:
+    stats = oracle.stats
+    within = oracle.budget_cap is None or oracle.budget_charged <= oracle.budget_cap
+    return oracle.budget_charged == stats.neighbor + stats.pair and within
+
+
+class TestOracleMetering:
+    @given(graph_and_queries())
+    @settings(max_examples=150, deadline=None)
+    def test_repeated_queries_are_free(self, case):
+        g, queries = case
+        oracle = QueryOracle(g, seed=0)
+        first = [ask(oracle, q) for q in queries]
+        stats, charged = oracle.stats, oracle.budget_charged
+        # A cap at the current charge forbids any new charged query.
+        oracle.set_budget(charged)
+        assert [ask(oracle, q) for q in queries] == first
+        assert oracle.stats == stats
+        assert oracle.budget_charged == charged
+
+    @given(graph_and_queries(), st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_charged_equals_neighbor_plus_pair_within_cap(self, case, cap):
+        g, queries = case
+        oracle = QueryOracle(g, seed=0, budget=cap)
+        assert charged_ok(oracle)
+        for q in queries:
+            try:
+                ask(oracle, q)
+            except BudgetExhausted:
+                pass
+            assert charged_ok(oracle)
+
+    @given(graph_and_queries(), st.integers(0, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_exhaustion_only_on_a_new_distinct_query(self, case, cap):
+        g, queries = case
+        oracle = QueryOracle(g, seed=0, budget=cap)
+        seen = Revealed()
+        for q in queries:
+            new = seen.is_new_charged(q)
+            before = oracle.stats
+            try:
+                answer = ask(oracle, q)
+            except BudgetExhausted:
+                assert new
+                assert oracle.budget_charged == cap
+                assert oracle.stats == before
+                continue
+            seen.learn(q, answer)
+            assert oracle.budget_charged == len(seen.slots) + oracle.stats.pair
+
+
+def nx_graph(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
+
+
+class TestCountersAgainstNetworkx:
+    @pytest.mark.parametrize("count", [count_ordered, count_brute])
+    @given(g=graphs(min_n=0, max_n=16))
+    @settings(max_examples=120, deadline=None)
+    def test_t_and_t_v_match(self, count, g):
+        per_vertex = nx.triangles(nx_graph(g))
+        stats = count(g)
+        assert [int(c) for c in stats.t_v] == [per_vertex[v] for v in range(g.n)]
+        assert stats.t == sum(per_vertex.values()) // 3
