@@ -44,8 +44,8 @@ def main() -> None:
           f" q_pair(3, 1) -> {flipped} (free: unordered memo)")
     print("   ", tally(o))
 
-    v = o.sample_vertex()
-    print(f"-- sample_vertex() -> {v} (metered, never budgeted)")
+    vs = o.sample_vertices(3)
+    print(f"-- sample_vertices(3) -> {vs.tolist()} (metered per id, never budgeted)")
     print("   ", tally(o))
 
     print("-- now a budget of 3 distinct neighbor/pair charges")

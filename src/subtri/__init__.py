@@ -9,7 +9,6 @@ generators (lb_gen), and a CLI (cli).
 from .estimator import (
     ADVICE_SHRINK_C,
     MAX_RUN_SAMPLES,
-    Advice,
     DegreeWeightedSampler,
     EstimateReport,
     EstimatorParams,
@@ -19,13 +18,7 @@ from .estimator import (
     feige_avg_degree,
 )
 from .exact import TriangleStats, count_brute, count_ordered, label_ground_truth
-from .graph_store import (
-    ABSENT,
-    Graph,
-    GraphFormatError,
-    load_edge_list,
-    write_edge_list,
-)
+from .graph_store import Graph, GraphFormatError, load_edge_list, write_edge_list
 from .heavy import (
     BORDERLINE,
     HEAVY,
@@ -47,14 +40,13 @@ from .lb_gen import (
     gen_g2_partial_matching,
     gen_special_four,
 )
-from .query_oracle import BudgetExhausted, QueryOracle, QueryStats
+from .query_oracle import ABSENT, BudgetExhausted, QueryOracle, QueryStats
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ABSENT",
     "ADVICE_SHRINK_C",
-    "Advice",
     "BORDERLINE",
     "BudgetExhausted",
     "DegreeWeightedSampler",

@@ -43,6 +43,11 @@ FAMILIES = {
     ),
 }
 
+
+def _takes_shuffle(family: str) -> bool:
+    return family != "clique"
+
+
 PROFILES = {
     "theoretical": EstimatorParams.theoretical,
     "practical": EstimatorParams.practical,
@@ -161,7 +166,7 @@ def cmd_gen(args) -> int:
             sys.stderr.write(f"error: --family {args.family} requires --{name}\n")
             return 2
         kwargs[name] = value
-    if args.family != "clique":
+    if _takes_shuffle(args.family):
         kwargs["shuffle"] = args.shuffle
     result = ctor(seed=args.seed, **kwargs)
     write_edge_list(result.graph, args.out)
@@ -187,6 +192,33 @@ def _manifest_exact_t(entry: dict, graph) -> int:
     return int(count_ordered(graph).t)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_genspec(spec) -> None:
+    """Raise ValueError unless spec names a known family with exactly its parameters."""
+    if not isinstance(spec, dict):
+        raise ValueError("genspec must be an object")
+    family = spec.get("family")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ValueError(f"unknown genspec family {family!r}")
+    params = spec.get("params")
+    if not isinstance(params, dict):
+        raise ValueError(f"genspec {family}: params must be an object")
+    _, needed = FAMILIES[family]
+    missing = sorted(set(needed) - params.keys())
+    extra = sorted(params.keys() - set(needed) - ({"shuffle"} if _takes_shuffle(family) else set()))
+    if missing or extra:
+        raise ValueError(f"genspec {family}: missing params {missing}, unexpected params {extra}")
+    if not all(_is_int(params[name]) for name in needed):
+        raise ValueError(f"genspec {family}: params {list(needed)} must be integers")
+    if not isinstance(params.get("shuffle", False), bool):
+        raise ValueError(f"genspec {family}: shuffle must be true or false")
+    if not _is_int(spec.get("seed", 0)):
+        raise ValueError(f"genspec {family}: seed must be an integer")
+
+
 def _bench_rows(args) -> list[dict]:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -198,12 +230,17 @@ def _bench_rows(args) -> list[dict]:
         if not isinstance(entry, dict):
             raise ValueError("manifest entries must be objects")
         seeds = entry.get("seeds", [0])
+        if not isinstance(seeds, list) or not all(_is_int(seed) for seed in seeds):
+            raise ValueError("manifest seeds must be a list of integers")
         if "path" in entry:
             source = entry["path"]
+            if not isinstance(source, str):
+                raise ValueError("manifest path must be a string")
             graph = load_edge_list(source)
             exact_t = _manifest_exact_t(entry, graph)
         elif "genspec" in entry:
             spec = entry["genspec"]
+            _check_genspec(spec)
             ctor, _ = FAMILIES[spec["family"]]
             result = ctor(seed=spec.get("seed", 0), **spec["params"])
             graph = result.graph
@@ -267,7 +304,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, GraphFormatError, json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, GraphFormatError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
     except Exception as exc:  # anything else is a bug in this package

@@ -49,18 +49,6 @@ class RunSizeExceeded(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Advice:
-    """Coarse guesses: m_bar for the edge count, t_bar for the triangle count."""
-
-    m_bar: float
-    t_bar: float
-
-    def conforms(self, m: int, t: int) -> bool:
-        """Whether the advice brackets the true counts (t/4 <= t_bar <= t, m_bar >= m/6)."""
-        return t / 4.0 <= self.t_bar <= t and self.m_bar >= m / 6.0
-
-
-@dataclass(frozen=True)
 class EstimatorParams:
     """Effort knobs for the estimator; the defaults are the theoretical profile.
 
@@ -285,7 +273,7 @@ def estimate(
     t_start = time.perf_counter()
     if params is None:
         params = EstimatorParams.practical()
-    if eps <= 0:
+    if not eps > 0:  # also rejects NaN
         raise ValueError("eps must be positive")
     eps_eff = min(eps, 0.5)
     eps_run = eps_eff / (3.0 * ADVICE_SHRINK_C) if params.shrink_advice_eps else eps_eff

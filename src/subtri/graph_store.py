@@ -14,9 +14,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Returned by Graph.neighbor when the index runs past the degree.
-ABSENT = None
-
 
 class GraphFormatError(ValueError):
     """Raised for malformed edge-list input; carries the offending line number."""
@@ -30,28 +27,30 @@ class Graph:
     """Static simple undirected graph with ordered adjacency.
 
     Build via from_edges or load_edge_list rather than the constructor.
-    Vertices precede one another by (degree, id); this order drives the
+    Storage is CSR: v's neighbors, in stored order, are
+    targets[offsets[v]:offsets[v + 1]]; the arrays are read-only. Vertices
+    precede one another by (degree, id); this order drives the
     triangle-assignment logic downstream, so it is part of the public API.
     """
 
-    __slots__ = ("n", "m", "degrees", "_off", "_nbrs", "_sorted_nbrs")
+    __slots__ = ("n", "m", "degrees", "offsets", "targets", "_sorted_targets")
 
     def __init__(
         self,
         n: int,
         m: int,
         degrees: np.ndarray,
-        off: np.ndarray,
-        nbrs: np.ndarray,
-        sorted_nbrs: np.ndarray,
+        offsets: np.ndarray,
+        targets: np.ndarray,
+        sorted_targets: np.ndarray,
     ):
         self.n = n
         self.m = m
         self.degrees = degrees
-        self._off = off
-        self._nbrs = nbrs
-        self._sorted_nbrs = sorted_nbrs
-        for arr in (degrees, off, nbrs, sorted_nbrs):
+        self.offsets = offsets
+        self.targets = targets
+        self._sorted_targets = sorted_targets
+        for arr in (degrees, offsets, targets, sorted_targets):
             arr.setflags(write=False)
 
     @classmethod
@@ -64,29 +63,23 @@ class Graph:
         outside [0, n). Neighbor lists keep the order in which edges appear.
         """
         m = len(edges)
-        degrees = np.zeros(n, dtype=np.int64)
+        arr = np.asarray(edges, dtype=np.int64)
         if m:
-            arr = np.asarray(edges, dtype=np.int64)
             if arr.shape != (m, 2):
                 raise ValueError("edges must be (u, v) pairs")
             if validate:
                 _check_edges(n, arr)
-            degrees = np.bincount(arr.ravel(), minlength=n).astype(np.int64)
-        off = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=off[1:])
-        nbrs = np.empty(2 * m, dtype=np.int64)
-        cursor = off[:-1].copy()
-        if m:
-            for u, v in arr:
-                nbrs[cursor[u]] = v
-                cursor[u] += 1
-                nbrs[cursor[v]] = u
-                cursor[v] += 1
-        sorted_nbrs = np.empty_like(nbrs)
-        for v in range(n):
-            lo, hi = off[v], off[v + 1]
-            sorted_nbrs[lo:hi] = np.sort(nbrs[lo:hi])
-        g = cls(n, m, degrees, off, nbrs, sorted_nbrs)
+        # Slot 2k holds u_k and slot 2k+1 holds v_k. A stable sort by endpoint
+        # lists each vertex's incidences in edge order, and the partner of
+        # slot j is slot j ^ 1.
+        flat = arr.ravel()
+        degrees = np.bincount(flat, minlength=n).astype(np.int64)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=offsets[1:])
+        order = np.argsort(flat, kind="stable")
+        targets = flat[order ^ 1]
+        sorted_targets = targets[np.lexsort((targets, flat[order]))]
+        g = cls(n, m, degrees, offsets, targets, sorted_targets)
         g._check_invariants()
         return g
 
@@ -102,7 +95,7 @@ class Graph:
         n = self.n
         key = self.degrees * np.int64(n) + np.arange(n, dtype=np.int64)
         src = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
-        succ_mask = key[self._nbrs] > key[src]
+        succ_mask = key[self.targets] > key[src]
         succ_counts = np.bincount(src[succ_mask], minlength=n)
         bound = math.isqrt(2 * self.m)
         if int(succ_counts.max()) > bound:
@@ -113,17 +106,9 @@ class Graph:
     def degree(self, v: int) -> int:
         return int(self.degrees[v])
 
-    def neighbor(self, v: int, i: int):
-        """Return the i-th neighbor of v (1-indexed), or ABSENT past the degree."""
-        if i < 1:
-            raise ValueError("neighbor index is 1-based")
-        if i > self.degrees[v]:
-            return ABSENT
-        return int(self._nbrs[self._off[v] + i - 1])
-
     def neighbors(self, v: int) -> np.ndarray:
         """Read-only view of v's neighbor list in stored order."""
-        return self._nbrs[self._off[v] : self._off[v + 1]]
+        return self.targets[self.offsets[v] : self.offsets[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         """Adjacency test by binary search on the lower-degree endpoint."""
@@ -131,9 +116,9 @@ class Graph:
             return False
         if self.degrees[u] > self.degrees[v]:
             u, v = v, u
-        lo, hi = self._off[u], self._off[u + 1]
-        idx = np.searchsorted(self._sorted_nbrs[lo:hi], v)
-        return bool(idx < hi - lo and self._sorted_nbrs[lo + idx] == v)
+        lo, hi = self.offsets[u], self.offsets[u + 1]
+        idx = np.searchsorted(self._sorted_targets[lo:hi], v)
+        return bool(idx < hi - lo and self._sorted_targets[lo + idx] == v)
 
     def precedes(self, u: int, v: int) -> bool:
         """True when u comes before v in the (degree, id) vertex order."""
@@ -178,6 +163,7 @@ def _parse_lines(lines: Iterable[str]) -> Graph:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     declared_n = None
+    header_line = 0
     max_id = -1
     saw_data = False
     for line_no, raw in enumerate(lines, start=1):
@@ -194,6 +180,7 @@ def _parse_lines(lines: Iterable[str]) -> Graph:
                 raise GraphFormatError(line_no, f"bad vertex count {parts[1]!r}")
             if declared_n < 0:
                 raise GraphFormatError(line_no, "vertex count must be nonnegative")
+            header_line = line_no
             saw_data = True
             continue
         saw_data = True
@@ -219,7 +206,7 @@ def _parse_lines(lines: Iterable[str]) -> Graph:
     n = max_id + 1
     if declared_n is not None:
         if declared_n < n:
-            raise GraphFormatError(1, f"header n={declared_n} smaller than max id {max_id}")
+            raise GraphFormatError(header_line, f"header n={declared_n} smaller than max id {max_id}")
         n = declared_n
     return Graph.from_edges(n, edges, validate=False)
 

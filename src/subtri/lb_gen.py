@@ -24,7 +24,6 @@ class GenResult:
     """A generated graph with its provenance and exact triangle count."""
 
     graph: Graph
-    edges: list[tuple[int, int]]
     family: str
     params: dict
     exact_t: int
@@ -82,12 +81,11 @@ def gen_clique_family(n: int, t: int, seed=None) -> GenResult:
     graph = Graph.from_edges(n, edges, validate=False)
     return GenResult(
         graph=graph,
-        edges=edges,
         family="clique",
         params={"n": n, "t": t, "seed": _seed_value(seed)},
         exact_t=math.comb(q, 3),
         formula="C(q,3) with q=floor(t^(1/3))",
-        meta={"edges_actual": len(edges), "clique_size": q},
+        meta={"clique_size": q},
     )
 
 
@@ -103,12 +101,10 @@ def gen_g1_bipartite(n: int, side: int, seed=None, shuffle: bool = False) -> Gen
     graph = Graph.from_edges(n, edges, validate=False)
     return GenResult(
         graph=graph,
-        edges=edges,
         family="g1-bipartite",
         params={"n": n, "side": s, "seed": _seed_value(seed)},
         exact_t=0,
         formula="0 (bipartite)",
-        meta={"edges_actual": len(edges)},
     )
 
 
@@ -148,12 +144,11 @@ def gen_g2_matching(n: int, side: int, seed=None, shuffle: bool = False) -> GenR
     graph = Graph.from_edges(n, edges, validate=False)
     return GenResult(
         graph=graph,
-        edges=edges,
         family="g2-matching",
         params={"n": n, "side": s, "seed": _seed_value(seed)},
         exact_t=2 * s * (s - 2),
         formula="2s(s-2)",
-        meta={"edges_actual": len(edges), "panels": 2},
+        meta={"panels": 2},
     )
 
 
@@ -222,12 +217,11 @@ def gen_g2_multi_matching(n: int, side: int, r: int, seed=None, shuffle: bool = 
         raise RuntimeError(f"triangle count {t} outside certified band [{lo}, {hi}]")
     return GenResult(
         graph=graph,
-        edges=edges,
         family="g2-multi-matching",
         params={"n": n, "side": s, "r": r, "seed": _seed_value(seed)},
         exact_t=t,
         formula=f"counted, in [r*s*(s-2r), r*s*(s-2)+r^2*s] = [{lo}, {hi}]",
-        meta={"edges_actual": len(edges), "band": [lo, hi]},
+        meta={"band": [lo, hi]},
     )
 
 
@@ -258,12 +252,10 @@ def gen_g2_partial_matching(n: int, side: int, k: int, seed=None, shuffle: bool 
     graph = Graph.from_edges(n, edges, validate=False)
     return GenResult(
         graph=graph,
-        edges=edges,
         family="g2-partial-matching",
         params={"n": n, "side": s, "k": k, "seed": _seed_value(seed)},
         exact_t=k * (s - 2),
         formula="k(s-2)",
-        meta={"edges_actual": len(edges)},
     )
 
 
@@ -325,12 +317,11 @@ def gen_special_four(
     if specials is not None and perm is not None:
         specials = [int(perm[v]) for v in specials]
     graph = Graph.from_edges(n, edges, validate=False)
-    meta = {"edges_actual": len(edges), "blocks": nb, "block_size": t}
+    meta = {"blocks": nb, "block_size": t}
     if specials is not None:
         meta["special_vertices"] = specials
     return GenResult(
         graph=graph,
-        edges=edges,
         family="special-four",
         params={"n": n, "side": s, "t": t, "special": special, "seed": _seed_value(seed)},
         exact_t=4 * t if special else 0,

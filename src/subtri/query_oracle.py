@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_store import ABSENT, Graph
+from .graph_store import Graph
+
+# Returned by q_neighbor when the index runs past the degree.
+ABSENT = None
 
 
 class BudgetExhausted(RuntimeError):
@@ -54,7 +57,9 @@ class QueryOracle:
 
     Answers never change (the graph is static), so the oracle keeps a record
     of what has been revealed and never charges twice for the same fact. A
-    neighbor answer also reveals adjacency, so it seeds the pair memo.
+    neighbor answer also reveals adjacency, so it seeds the pair memo. The
+    distinct-query counts in stats and budget_charged are read off the memo,
+    so budget_charged == neighbor + pair holds by construction.
     """
 
     def __init__(self, graph: Graph, seed: int | None = None, budget: int | None = None):
@@ -65,13 +70,11 @@ class QueryOracle:
         self._rng = random.Random(int(scalar_ss.generate_state(2, np.uint64)[0]))
         self._np_rng = np.random.default_rng(batch_ss)
         self._deg_seen = np.zeros(graph.n, dtype=bool)
-        self._deg_count = 0
         self._nbr_seen: set[int] = set()
         self._absent_seen: set[tuple[int, int]] = set()
         self._pair_cache: dict[int, bool] = {}
         self._pair_count = 0
         self._vertex_samples = 0
-        self._charged = 0
         self._cap = budget
 
     # -- budget -----------------------------------------------------------
@@ -85,21 +88,19 @@ class QueryOracle:
 
     @property
     def budget_charged(self) -> int:
-        return self._charged
+        return len(self._nbr_seen) + len(self._absent_seen) + self._pair_count
 
-    def _charge(self) -> None:
-        if self._cap is not None and self._charged >= self._cap:
+    def _check_budget(self) -> None:
+        """Raise unless the cap leaves room for one more charged query."""
+        if self._cap is not None and self.budget_charged >= self._cap:
             raise BudgetExhausted(f"query budget of {self._cap} exhausted")
-        self._charged += 1
 
     # -- queries ----------------------------------------------------------
 
     def q_degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range")
-        if not self._deg_seen[v]:
-            self._deg_seen[v] = True
-            self._deg_count += 1
+        self._deg_seen[v] = True
         return int(self.graph.degrees[v])
 
     def q_degree_batch(self, vs: np.ndarray) -> np.ndarray:
@@ -108,10 +109,7 @@ class QueryOracle:
         if vs.size:
             if vs.min() < 0 or vs.max() >= self.n:
                 raise IndexError("vertex out of range")
-            uniq = np.unique(vs)
-            fresh = uniq[~self._deg_seen[uniq]]
-            self._deg_seen[fresh] = True
-            self._deg_count += len(fresh)
+            self._deg_seen[vs] = True
         return self.graph.degrees[vs]
 
     def q_neighbor(self, v: int, i: int):
@@ -124,18 +122,16 @@ class QueryOracle:
         if i > g.degrees[v]:
             key = (v, i)
             if key not in self._absent_seen:
-                self._charge()
+                self._check_budget()
                 self._absent_seen.add(key)
             return ABSENT
-        slot = int(g._off[v]) + i - 1
+        slot = int(g.offsets[v]) + i - 1
         if slot not in self._nbr_seen:
-            self._charge()
+            self._check_budget()
             self._nbr_seen.add(slot)
-        w = int(g._nbrs[slot])
+        w = int(g.targets[slot])
         # Adjacency of (v, w) is now known for free.
-        pk = v * self.n + w if v < w else w * self.n + v
-        if pk not in self._pair_cache:
-            self._pair_cache[pk] = True
+        self._pair_cache[v * self.n + w if v < w else w * self.n + v] = True
         return w
 
     def q_pair(self, u: int, v: int) -> bool:
@@ -148,19 +144,14 @@ class QueryOracle:
         cached = self._pair_cache.get(pk)
         if cached is not None:
             return cached
-        self._charge()
+        self._check_budget()
         self._pair_count += 1
         ans = self.graph.has_edge(u, v)
         self._pair_cache[pk] = ans
         return ans
 
-    def sample_vertex(self, rng: random.Random | None = None) -> int:
-        """One uniform vertex id. Counted per call, never budget-charged."""
-        self._vertex_samples += 1
-        return (rng or self._rng).randrange(self.n)
-
     def sample_vertices(self, k: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """k uniform vertex ids with replacement, as a batch."""
+        """k uniform vertex ids with replacement. Counted per id, never budget-charged."""
         self._vertex_samples += k
         return (rng or self._np_rng).integers(0, self.n, size=k, dtype=np.int64)
 
@@ -176,16 +167,10 @@ class QueryOracle:
         i = (rng or self._rng).randrange(d) + 1
         return v, self.q_neighbor(v, i)
 
-    def precedes_queried(self, u: int, v: int) -> bool:
-        """Vertex-order comparison through metered degree queries."""
-        du = self.q_degree(u)
-        dv = self.q_degree(v)
-        return du < dv or (du == dv and u < v)
-
     @property
     def stats(self) -> QueryStats:
         return QueryStats(
-            degree=self._deg_count,
+            degree=int(np.count_nonzero(self._deg_seen)),
             neighbor=len(self._nbr_seen) + len(self._absent_seen),
             pair=self._pair_count,
             vertex_samples=self._vertex_samples,

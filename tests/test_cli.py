@@ -127,6 +127,19 @@ class TestEstimate:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["profile"] == "theoretical"
 
+    def test_nan_epsilon_is_exit_three(self, tmp_path, capsys):
+        code = main(["estimate", "--input", k4_path(tmp_path), "--epsilon", "nan"])
+        assert code == 3
+        assert "eps must be positive" in capsys.readouterr().err
+
+    def test_package_bug_is_exit_four(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr("subtri.cli.estimate", broken)
+        assert main(["estimate", "--input", k4_path(tmp_path)]) == 4
+        assert "internal error: KeyError" in capsys.readouterr().err
+
 
 class TestGen:
     def test_writes_graph_and_sidecar(self, tmp_path, capsys):
@@ -271,6 +284,32 @@ class TestBench:
         manifest = tmp_path / "bad.json"
         manifest.write_text("{not json")
         assert main(["bench", "--manifest", str(manifest)]) == 3
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"genspec": {"family": "mystery", "params": {"n": 8}}}, "unknown genspec family"),
+            ({"genspec": {"family": "g2-matching", "params": {"n": 40}}}, "missing params ['side']"),
+            (
+                {"genspec": {"family": "g2-matching", "params": {"n": 40, "side": 10, "r": 2}}},
+                "unexpected params ['r']",
+            ),
+            (
+                {"genspec": {"family": "clique", "params": {"n": 40, "t": 27, "shuffle": True}}},
+                "unexpected params ['shuffle']",
+            ),
+            ({"genspec": {"family": "clique", "params": [40, 27]}}, "params must be an object"),
+            ({"genspec": {"family": "clique", "params": {"n": "40", "t": 27}}}, "must be integers"),
+            ({"genspec": "clique"}, "genspec must be an object"),
+            ({"path": 5}, "path must be a string"),
+            ({"path": "x.edges", "seeds": 0}, "seeds must be a list of integers"),
+        ],
+    )
+    def test_bad_manifest_entry_is_exit_three(self, tmp_path, capsys, entry, message):
+        manifest = tmp_path / "bad.json"
+        manifest.write_text(json.dumps([entry]))
+        assert main(["bench", "--manifest", str(manifest)]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestUsage:

@@ -10,7 +10,6 @@ import pytest
 from subtri import (
     HEAVY,
     LIGHT,
-    Advice,
     DegreeWeightedSampler,
     EstimatorParams,
     Graph,
@@ -33,12 +32,6 @@ def fresh_oracle(graph, seed=0, budget=None) -> QueryOracle:
 
 
 class TestAdvice:
-    def test_conforms_brackets_both_counts(self):
-        assert Advice(m_bar=10, t_bar=5).conforms(m=60, t=20)
-        assert not Advice(m_bar=9.9, t_bar=5).conforms(m=60, t=20)
-        assert not Advice(m_bar=10, t_bar=21).conforms(m=60, t=20)
-        assert not Advice(m_bar=10, t_bar=4.9).conforms(m=60, t=20)
-
     def test_nonpositive_advice_is_rejected(self):
         o = fresh_oracle(complete_graph(4))
         with pytest.raises(ValueError, match="positive"):
@@ -241,6 +234,10 @@ class TestEstimateEndToEnd:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(ValueError, match="eps"):
             estimate(fresh_oracle(complete_graph(4)), eps=0.0)
+        # NaN fails every comparison, so it must be caught up front, not in
+        # the average-degree stage's sizing.
+        with pytest.raises(ValueError, match="eps must be positive"):
+            estimate(fresh_oracle(complete_graph(4)), eps=float("nan"))
 
     def test_same_seed_reproduces_the_report(self):
         res = gen_g2_matching(64, 16, seed=3)

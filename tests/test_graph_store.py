@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subtri import ABSENT, Graph, GraphFormatError, load_edge_list, write_edge_list
+from subtri import Graph, GraphFormatError, load_edge_list, write_edge_list
 from util import gnp_edges, gnp_graph
 
 
@@ -62,18 +62,6 @@ class TestFromEdges:
 
 
 class TestQueries:
-    def test_neighbor_is_one_indexed(self):
-        g = triangle_graph()
-        assert g.neighbor(0, 1) == 1
-        assert g.neighbor(0, 2) == 2
-        with pytest.raises(ValueError, match="1-based"):
-            g.neighbor(0, 0)
-
-    def test_neighbor_past_degree_is_absent(self):
-        g = triangle_graph()
-        assert g.neighbor(0, 3) is ABSENT
-        assert g.neighbor(0, 1000) is ABSENT
-
     def test_has_edge_matches_edge_set(self):
         g = gnp_graph(80, 0.1, seed=5)
         present = {(u, v) for u, v in g.edges()}
@@ -233,6 +221,11 @@ class TestLoadEdgeList:
     def test_header_must_cover_max_id(self):
         with pytest.raises(GraphFormatError, match="smaller than max id"):
             load_edge_list(["n 2", "0 5"])
+
+    def test_small_header_reports_the_header_line(self):
+        with pytest.raises(GraphFormatError, match="line 3: header n=2") as exc:
+            load_edge_list(["# c", "", "n 2", "0 1", "1 5"])
+        assert exc.value.line_no == 3
 
     def test_bad_header_count(self):
         with pytest.raises(GraphFormatError, match="bad vertex count"):

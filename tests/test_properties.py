@@ -1,6 +1,7 @@
-"""Property tests: oracle metering rules and the exact counters against networkx."""
+"""Property tests: oracle metering, graph storage, and the exact counters against networkx."""
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +10,16 @@ from subtri import BudgetExhausted, Graph, QueryOracle, count_brute, count_order
 
 
 @st.composite
-def graphs(draw, min_n=2, max_n=12):
+def edge_lists(draw, min_n=2, max_n=12):
+    """(n, edges): a simple graph's edges in random order and orientation."""
     n = draw(st.integers(min_n, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
-    return Graph.from_edges(n, edges)
+    return n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in chosen]
+
+
+def graphs(min_n=2, max_n=12):
+    return edge_lists(min_n, max_n).map(lambda case: Graph.from_edges(*case))
 
 
 @st.composite
@@ -113,6 +118,48 @@ class TestOracleMetering:
                 continue
             seen.learn(q, answer)
             assert oracle.budget_charged == len(seen.slots) + oracle.stats.pair
+
+    @given(graphs(), st.lists(st.one_of(st.integers(0, 11), st.lists(st.integers(0, 11), max_size=8))))
+    @settings(max_examples=150, deadline=None)
+    def test_degree_count_is_distinct_vertices(self, g, calls):
+        # Single and batched degree queries, mixed, with repeats and
+        # duplicates inside a batch.
+        oracle = QueryOracle(g, seed=0)
+        asked = set()
+        for call in calls:
+            if isinstance(call, int):
+                v = call % g.n
+                assert oracle.q_degree(v) == g.degree(v)
+                asked.add(v)
+            else:
+                vs = [v % g.n for v in call]
+                degs = oracle.q_degree_batch(np.array(vs, dtype=np.int64))
+                assert list(degs) == [g.degree(v) for v in vs]
+                asked.update(vs)
+            assert oracle.stats.degree == len(asked)
+
+
+class TestGraphStorage:
+    @given(edge_lists(min_n=0, max_n=16))
+    @settings(max_examples=150, deadline=None)
+    def test_neighbor_order_matches_per_edge_fill(self, case):
+        n, edges = case
+        expected = [[] for _ in range(n)]
+        for u, v in edges:
+            expected[u].append(v)
+            expected[v].append(u)
+        g = Graph.from_edges(n, edges)
+        assert [list(g.neighbors(v)) for v in range(n)] == expected
+
+    @given(edge_lists(min_n=1, max_n=16))
+    @settings(max_examples=150, deadline=None)
+    def test_has_edge_agrees_with_edge_set(self, case):
+        n, edges = case
+        present = {frozenset(e) for e in edges}
+        g = Graph.from_edges(n, edges)
+        for u in range(n):
+            for v in range(n):
+                assert g.has_edge(u, v) == (frozenset((u, v)) in present)
 
 
 def nx_graph(g: Graph) -> nx.Graph:
