@@ -1,14 +1,17 @@
 """Exact triangle counting and per-vertex ground-truth labeling.
 
 Two independent counters are provided on purpose. count_brute enumerates id-
-ordered triples from edge neighborhood intersections; count_ordered sweeps
-the (degree, id) vertex order and touches each triangle at its order-minimal
-vertex. Tests play them against each other, so the two must not share logic.
+ordered triples from edge neighborhood intersections on Python sets;
+count_ordered is one numpy forward-wedge kernel over the (degree, id) vertex
+order that finds each triangle at its order-minimal vertex. Tests play them
+against each other, so the two must not share counting logic.
 
 Both produce the same decomposition: t_v[v] is the number of triangles
 containing v, and t_e[(v, x)] counts the triangles through v that are charged
 to the directed edge (v, x), where x is the order-smaller of the two partner
 vertices. Summing t_e over v's edges gives t_v; summing t_v gives 3t.
+TriangleStats keeps t_e as one count per CSR slot, aligned with
+graph.targets; the (v, x) mapping is built from it on first access.
 """
 
 from __future__ import annotations
@@ -20,40 +23,51 @@ import numpy as np
 from .graph_store import Graph
 from .heavy import BORDERLINE, HEAVY, LIGHT, degree_cutoff, heavy_tv_cutoff, light_tv_cutoff
 
+# Wedges closed per pass of count_ordered. Each pass holds about eight int64
+# temporaries of this length (16 MiB), whatever the graph's wedge total.
+_WEDGE_CHUNK = 1 << 18
+
 
 @dataclass
 class TriangleStats:
-    """Triangle count with its per-vertex and per-directed-edge split."""
+    """Triangle count with its per-vertex and per-directed-edge split.
 
+    t_e_slots[s] is the t_e count of the directed edge stored at CSR slot s,
+    from the slot's vertex to graph.targets[s].
+    """
+
+    graph: Graph = field(repr=False)
     t: int
     t_v: np.ndarray
-    t_e: dict[tuple[int, int], int] = field(default_factory=dict)
+    t_e_slots: np.ndarray
+    _t_e: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _nonzero_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(v, x, count) arrays over the slots with a nonzero count."""
+        slots = np.flatnonzero(self.t_e_slots)
+        v = np.searchsorted(self.graph.offsets, slots, side="right") - 1
+        return v, self.graph.targets[slots], self.t_e_slots[slots]
+
+    @property
+    def t_e(self) -> dict[tuple[int, int], int]:
+        """The nonzero t_e counts keyed by directed edge (v, x)."""
+        if self._t_e is None:
+            v, x, c = self._nonzero_edges()
+            self._t_e = dict(zip(zip(v.tolist(), x.tolist()), c.tolist()))
+        return self._t_e
 
     def to_json_dict(self) -> dict:
-        triples = sorted((v, x, c) for (v, x), c in self.t_e.items())
+        v, x, c = self._nonzero_edges()
+        order = np.lexsort((x, v))
         return {
             "t": self.t,
-            "t_v": [int(c) for c in self.t_v],
-            "t_e": [[int(v), int(x), int(c)] for v, x, c in triples],
+            "t_v": self.t_v.tolist(),
+            "t_e": np.stack([v[order], x[order], c[order]], axis=1).tolist(),
         }
 
 
 def _neighbor_sets(graph: Graph) -> list[set[int]]:
     return [set(map(int, graph.neighbors(v))) for v in range(graph.n)]
-
-
-def _record(stats: TriangleStats, degrees: np.ndarray, a: int, b: int, c: int) -> None:
-    """Charge triangle {a, b, c} to one directed edge per endpoint."""
-    stats.t += 1
-    t_v = stats.t_v
-    t_e = stats.t_e
-    for v, x, w in ((a, b, c), (b, a, c), (c, a, b)):
-        t_v[v] += 1
-        # Partner is the order-smaller of the other two endpoints.
-        dx, dw = degrees[x], degrees[w]
-        p = x if (dx < dw or (dx == dw and x < w)) else w
-        key = (v, p)
-        t_e[key] = t_e.get(key, 0) + 1
 
 
 def count_brute(graph: Graph) -> TriangleStats:
@@ -62,56 +76,100 @@ def count_brute(graph: Graph) -> TriangleStats:
     Intended as an independent check on count_ordered; intersections run on
     raw neighbor sets and each triangle is found at its id-minimal edge.
     """
-    stats = TriangleStats(t=0, t_v=np.zeros(graph.n, dtype=np.int64))
+    n = graph.n
+    t = 0
+    t_v = np.zeros(n, dtype=np.int64)
+    t_e_slots = np.zeros(len(graph.targets), dtype=np.int64)
     sets = _neighbor_sets(graph)
+    slot_of = [
+        {int(x): int(graph.offsets[v]) + i for i, x in enumerate(graph.neighbors(v))}
+        for v in range(n)
+    ]
     degrees = graph.degrees
-    for a in range(graph.n):
+    for a in range(n):
         sa = sets[a]
         for b in sa:
             if b <= a:
                 continue
-            common = sa & sets[b]
-            for c in common:
-                if c > b:
-                    _record(stats, degrees, a, b, c)
-    return stats
+            for c in sa & sets[b]:
+                if c <= b:
+                    continue
+                t += 1
+                for v, x, w in ((a, b, c), (b, a, c), (c, a, b)):
+                    t_v[v] += 1
+                    # Charge the order-smaller of the other two endpoints.
+                    dx, dw = degrees[x], degrees[w]
+                    p = x if (dx < dw or (dx == dw and x < w)) else w
+                    t_e_slots[slot_of[v][p]] += 1
+    return TriangleStats(graph, t, t_v, t_e_slots)
 
 
 def count_ordered(graph: Graph) -> TriangleStats:
-    """Exact count by sweeping successors in the (degree, id) order.
+    """Exact count by closing forward wedges in the (degree, id) order.
 
-    Each vertex u scans pairs of its order-successors, so each triangle is
-    found exactly once, at its order-minimal vertex. Successor lists are
-    capped at sqrt(2m) per vertex, which bounds the pair work.
+    A slot u -> w is forward when w ranks after u. The forward slots, sorted
+    by (rank u, rank w), list each vertex's successors in ascending rank.
+    Every pair w1 < w2 of u's successors is a wedge, enumerated by index
+    arithmetic over those sorted positions; it closes a triangle exactly
+    when w1 -> w2 is itself a forward slot, which a searchsorted on the
+    sorted forward keys decides. So each triangle is found once, at its
+    order-minimal vertex u, and charged to the slots u -> w1, w1 -> u and
+    w2 -> u by bincount. Wedges are closed _WEDGE_CHUNK at a time, so
+    memory stays bounded however many there are (up to the sum over u of
+    succ(u)^2 / 2, with succ(u) <= sqrt(2m)).
     """
-    n = graph.n
-    stats = TriangleStats(t=0, t_v=np.zeros(n, dtype=np.int64))
-    degrees = graph.degrees
-    key = degrees * np.int64(n) + np.arange(n, dtype=np.int64)
-    sets = _neighbor_sets(graph)
-    t_v = stats.t_v
-    t_e = stats.t_e
-    for u in range(n):
-        nbrs = graph.neighbors(u)
-        succ = nbrs[key[nbrs] > key[u]]
-        if len(succ) < 2:
-            continue
-        # Ascending order keys make w1 precede w2 inside the pair loop.
-        succ = succ[np.argsort(key[succ], kind="stable")]
-        succ_list = [int(w) for w in succ]
-        for i, w1 in enumerate(succ_list):
-            s1 = sets[w1]
-            for w2 in succ_list[i + 1 :]:
-                if w2 not in s1:
-                    continue
-                # u < w1 < w2 in the vertex order.
-                stats.t += 1
-                t_v[u] += 1
-                t_v[w1] += 1
-                t_v[w2] += 1
-                for key2 in ((u, w1), (w1, u), (w2, u)):
-                    t_e[key2] = t_e.get(key2, 0) + 1
-    return stats
+    n, offsets, targets = graph.n, graph.offsets, graph.targets
+    t_e_slots = np.zeros(len(targets), dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    # A stable sort by degree breaks degree ties by id.
+    rank[np.argsort(graph.degrees, kind="stable")] = np.arange(n, dtype=np.int64)
+    src_rank = np.repeat(rank, graph.degrees)
+    tgt_rank = rank[targets]
+    forward = tgt_rank > src_rank
+    fwd = np.flatnonzero(forward)
+    back = np.flatnonzero(~forward)
+    fkey = src_rank[fwd] * n + tgt_rank[fwd]
+    order = np.argsort(fkey)
+    fwd, fkey = fwd[order], fkey[order]
+    # Sorted by the key of its reversed edge, back[k] is the slot w -> u
+    # opposite the forward slot fwd[k] = u -> w.
+    back = back[np.argsort(tgt_rank[back] * n + src_rank[back])]
+
+    # Forward position p (the slot u -> w1) opens one wedge with each later
+    # position of u's block. Its wedges have the global ids wedge_start[p]
+    # to wedge_end[p] - 1, and wedge k pairs it with position k + shift[p].
+    u_rank = fkey // n
+    w_rank = fkey - u_rank * n
+    positions = np.arange(len(fkey), dtype=np.int64)
+    n_wedges = np.cumsum(np.bincount(u_rank, minlength=n))[u_rank] - 1 - positions
+    wedge_end = np.cumsum(n_wedges)
+    wedge_start = wedge_end - n_wedges
+    shift = positions + 1 - wedge_start
+    total = int(wedge_end[-1]) if len(fkey) else 0
+
+    # Closed wedges per forward position, as its w1 (hit_1) or its w2 (hit_2).
+    hit_1 = np.zeros(len(fkey), dtype=np.int64)
+    hit_2 = np.zeros(len(fkey), dtype=np.int64)
+    for lo in range(0, total, _WEDGE_CHUNK):
+        hi = min(lo + _WEDGE_CHUNK, total)
+        p_lo = int(np.searchsorted(wedge_end, lo, side="right"))
+        p_hi = int(np.searchsorted(wedge_start, hi, side="left"))
+        counts = np.minimum(wedge_end[p_lo:p_hi], hi) - np.maximum(wedge_start[p_lo:p_hi], lo)
+        j = np.repeat(shift[p_lo:p_hi], counts) + np.arange(lo, hi)
+        query = np.repeat(w_rank[p_lo:p_hi] * n, counts) + w_rank[j]
+        pos = np.minimum(np.searchsorted(fkey, query), len(fkey) - 1)
+        closed = np.flatnonzero(fkey[pos] == query)
+        c1 = np.bincount(np.searchsorted(np.cumsum(counts), closed, side="right"))
+        c2 = np.bincount(j[closed] - p_lo)
+        hit_1[p_lo : p_lo + len(c1)] += c1
+        hit_2[p_lo : p_lo + len(c2)] += c2
+
+    t_e_slots[fwd] = hit_1
+    t_e_slots[back] = hit_1 + hit_2
+    per_slot = np.zeros(len(targets) + 1, dtype=np.int64)
+    np.cumsum(t_e_slots, out=per_slot[1:])
+    t_v = per_slot[offsets[1:]] - per_slot[offsets[:-1]]
+    return TriangleStats(graph, int(hit_1.sum()), t_v, t_e_slots)
 
 
 def label_ground_truth(

@@ -58,8 +58,10 @@ class QueryOracle:
     Answers never change (the graph is static), so the oracle keeps a record
     of what has been revealed and never charges twice for the same fact. A
     neighbor answer also reveals adjacency, so it seeds the pair memo. The
-    distinct-query counts in stats and budget_charged are read off the memo,
-    so budget_charged == neighbor + pair holds by construction.
+    neighbor and pair counts in stats and budget_charged are read off the
+    memo, so budget_charged == neighbor + pair holds by construction. The
+    degree count grows as the degree bitmap gains vertices, so stats is
+    O(1) to read.
     """
 
     def __init__(self, graph: Graph, seed: int | None = None, budget: int | None = None):
@@ -70,6 +72,7 @@ class QueryOracle:
         self._rng = random.Random(int(scalar_ss.generate_state(2, np.uint64)[0]))
         self._np_rng = np.random.default_rng(batch_ss)
         self._deg_seen = np.zeros(graph.n, dtype=bool)
+        self._deg_count = 0
         self._nbr_seen: set[int] = set()
         self._absent_seen: set[tuple[int, int]] = set()
         self._pair_cache: dict[int, bool] = {}
@@ -100,7 +103,9 @@ class QueryOracle:
     def q_degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range")
-        self._deg_seen[v] = True
+        if not self._deg_seen[v]:
+            self._deg_seen[v] = True
+            self._deg_count += 1
         return int(self.graph.degrees[v])
 
     def q_degree_batch(self, vs: np.ndarray) -> np.ndarray:
@@ -109,7 +114,10 @@ class QueryOracle:
         if vs.size:
             if vs.min() < 0 or vs.max() >= self.n:
                 raise IndexError("vertex out of range")
-            self._deg_seen[vs] = True
+            fresh = np.sort(vs[~self._deg_seen[vs]])
+            if fresh.size:
+                self._deg_seen[fresh] = True
+                self._deg_count += 1 + int(np.count_nonzero(fresh[1:] != fresh[:-1]))
         return self.graph.degrees[vs]
 
     def q_neighbor(self, v: int, i: int):
@@ -170,7 +178,7 @@ class QueryOracle:
     @property
     def stats(self) -> QueryStats:
         return QueryStats(
-            degree=int(np.count_nonzero(self._deg_seen)),
+            degree=self._deg_count,
             neighbor=len(self._nbr_seen) + len(self._absent_seen),
             pair=self._pair_count,
             vertex_samples=self._vertex_samples,

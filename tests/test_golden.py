@@ -10,7 +10,9 @@ behaviour change.
 The cases cover budget trips that end in the exact fallback, a
 triangle-free graph whose search descends to the fallback under a budget it
 never reaches, and skewed or dense graphs where d_u^2 > m_bar, so probes
-take r > 1 draws.
+take r > 1 draws. The `subtri exact` digests pin the exact counter's CLI
+bytes on a regular graph, a skewed graph with isolated trailing vertices
+and a triangle-free graph.
 """
 
 import hashlib
@@ -154,6 +156,27 @@ def run_cli(tmp_path, capsys) -> dict:
     }.items():
         assert main(argv) == 0
         digests[key] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    return digests
+
+
+EXACT_GRAPHS = {
+    "g2-side128": lambda: gen_g2_matching(512, 128, seed=1).graph,
+    # The header declares 50 more vertices than the largest id, so the
+    # trailing vertices are isolated.
+    "skewed-padded": lambda: Graph.from_edges(2050, list(skewed_graph().edges())),
+    "bipartite-side20": lambda: gen_g1_bipartite(40, 20, seed=0).graph,
+}
+
+
+def run_exact_cli(tmp_path, capsys) -> dict:
+    digests = {}
+    for name, build in EXACT_GRAPHS.items():
+        path = tmp_path / f"{name}.edges"
+        write_edge_list(build(), path)
+        for mode, extra in (("json", ["--json"]), ("plain", [])):
+            assert main(["exact", "--input", str(path), *extra]) == 0
+            out = capsys.readouterr().out
+            digests[f"{name}-{mode}"] = hashlib.sha256(out.encode()).hexdigest()
     return digests
 
 
@@ -315,6 +338,17 @@ GOLDEN_CLI = {'estimate-json': 'ebff2d0f74940c539cb02e886eaf79613b05655dcaa755c9
  'bench-csv': '64122b15a00efda70a7d05c7ffd1dfeb9af8ba9ce5081e541a8485ae967efc44'}
 
 
+# Recorded from the revision before the vectorized exact counter.
+GOLDEN_EXACT_CLI = {
+    "g2-side128-json": "00ed4b106852bcc62a7d1ed61444d3bd1182d5f297c261c4dea6736a47fe245e",
+    "g2-side128-plain": "97a89b7db16ac6f86b76653e6fc68c5ccc92deb526e7bfb22816ac135080ccf9",
+    "skewed-padded-json": "28f2dd8ecb34c9663ec70873c8e8b924a7ed7f9a64da6f181ed21704a3b2f26f",
+    "skewed-padded-plain": "e1055bf79fb1a845968a2b83401f50c40ad1e84f61e6c91e5bb6aac63510da6a",
+    "bipartite-side20-json": "3805720e14af85020b99ec82a686ca3a1f550e813b5dadf8e048538783942aa6",
+    "bipartite-side20-plain": "e96a98664492c75e6a8e9d64b025b1c50a89d445a57968be4be6fba22ff637e6",
+}
+
+
 @pytest.mark.parametrize("case", ESTIMATE_CASES, ids=str)
 def test_estimate_report(case):
     assert run_estimate(*case) == GOLDEN_ESTIMATE[case]
@@ -333,3 +367,7 @@ def test_classifier(case):
 
 def test_cli_bytes(tmp_path, capsys):
     assert run_cli(tmp_path, capsys) == GOLDEN_CLI
+
+
+def test_exact_cli_bytes(tmp_path, capsys):
+    assert run_exact_cli(tmp_path, capsys) == GOLDEN_EXACT_CLI

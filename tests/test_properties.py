@@ -1,12 +1,14 @@
 """Property tests: oracle metering, graph storage, and the exact counters against networkx."""
 
+from unittest import mock
+
 import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtri import BudgetExhausted, Graph, QueryOracle, count_brute, count_ordered
+from subtri import BudgetExhausted, Graph, QueryOracle, count_brute, count_ordered, exact
 
 
 @st.composite
@@ -20,6 +22,13 @@ def edge_lists(draw, min_n=2, max_n=12):
 
 def graphs(min_n=2, max_n=12):
     return edge_lists(min_n, max_n).map(lambda case: Graph.from_edges(*case))
+
+
+@st.composite
+def padded_graphs(draw):
+    """Graphs with 0-3 isolated vertices after the last id an edge uses."""
+    n, edges = draw(edge_lists(min_n=0, max_n=14))
+    return Graph.from_edges(n + draw(st.integers(0, 3)), edges)
 
 
 @st.composite
@@ -178,3 +187,19 @@ class TestCountersAgainstNetworkx:
         stats = count(g)
         assert [int(c) for c in stats.t_v] == [per_vertex[v] for v in range(g.n)]
         assert stats.t == sum(per_vertex.values()) // 3
+
+
+class TestOrderedKernel:
+    # Chunk sizes of 1 and 3 split one vertex's wedges over several passes
+    # and put chunk boundaries inside and between forward positions.
+    @pytest.mark.parametrize("chunk", [exact._WEDGE_CHUNK, 3, 1])
+    @given(g=padded_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_per_slot(self, chunk, g):
+        with mock.patch.object(exact, "_WEDGE_CHUNK", chunk):
+            ordered = count_ordered(g)
+        brute = count_brute(g)
+        assert ordered.t == brute.t
+        assert np.array_equal(ordered.t_v, brute.t_v)
+        assert np.array_equal(ordered.t_e_slots, brute.t_e_slots)
+        assert ordered.t_e == brute.t_e
