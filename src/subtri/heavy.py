@@ -77,7 +77,10 @@ def closing_probes(oracle, v: int, x: int, d_v: int, d_x: int, r: int, rng: rand
         u, o, d_u = v, x, d_v
     q_neighbor = oracle.q_neighbor
     for _ in range(r):
-        w = q_neighbor(u, rng.randrange(d_u) + 1)
+        # rng.randrange(d) for d > 0 returns rng._randbelow(d); the direct
+        # call draws the same index without randrange's argument handling,
+        # which costs more than the query itself on the classifier's loop.
+        w = q_neighbor(u, rng._randbelow(d_u) + 1)
         if w == v or w == x or not oracle.q_pair(o, w):
             continue
         d_w = oracle.q_degree(w)
@@ -171,15 +174,18 @@ def classify_heavy(
     s = params.resolve_s(m_bar, t_bar, eps)
     threshold = decision_threshold(t_bar, eps)
 
-    q_degree = oracle.q_degree
-    q_edge = oracle.q_random_edge_at
+    # Each sample draws and meters like q_random_edge_at(v, rng), whose
+    # degree query of v is already spent; the draw is randrange(d_v) as in
+    # closing_probes.
+    q_degree, q_neighbor = oracle.q_degree, oracle.q_neighbor
+    below = rng._randbelow
     estimates = []
     for _ in range(reps):
         y_total = 0.0
         for _ in range(s):
-            _, x = q_edge(v, rng)
+            x = q_neighbor(v, below(d_v) + 1)
             d_x = q_degree(x)
-            d_u = min(d_v, d_x)
+            d_u = d_x if d_x < d_v else d_v
             r = ceil_div_by_sqrt(d_u, m_bar)
             hits = 0
             for _ in closing_probes(oracle, v, x, d_v, d_x, r, rng):

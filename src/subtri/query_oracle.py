@@ -72,6 +72,13 @@ class QueryOracle:
         self._rng = random.Random(int(scalar_ss.generate_state(2, np.uint64)[0]))
         self._np_rng = np.random.default_rng(batch_ss)
         self._deg_seen = np.zeros(graph.n, dtype=bool)
+        # The scalar queries read through memoryviews: indexing one yields a
+        # Python int (or bool) at well under half the cost of a numpy scalar
+        # index, and the views share the arrays' memory.
+        self._deg_seen_view = memoryview(self._deg_seen)
+        self._degrees = memoryview(graph.degrees)
+        self._offsets = memoryview(graph.offsets)
+        self._targets = memoryview(graph.targets)
         self._deg_count = 0
         self._nbr_seen: set[int] = set()
         self._absent_seen: set[tuple[int, int]] = set()
@@ -103,10 +110,11 @@ class QueryOracle:
     def q_degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range")
-        if not self._deg_seen[v]:
-            self._deg_seen[v] = True
+        seen = self._deg_seen_view
+        if not seen[v]:
+            seen[v] = True
             self._deg_count += 1
-        return int(self.graph.degrees[v])
+        return self._degrees[v]
 
     def q_degree_batch(self, vs: np.ndarray) -> np.ndarray:
         """Degree-query many vertices at once; counts each distinct vertex once."""
@@ -126,20 +134,19 @@ class QueryOracle:
             raise IndexError(f"vertex {v} out of range")
         if i < 1:
             raise ValueError("neighbor index is 1-based")
-        g = self.graph
-        if i > g.degrees[v]:
+        if i > self._degrees[v]:
             key = (v, i)
             if key not in self._absent_seen:
                 self._check_budget()
                 self._absent_seen.add(key)
             return ABSENT
-        slot = int(g.offsets[v]) + i - 1
+        slot = self._offsets[v] + i - 1
+        w = self._targets[slot]
         if slot not in self._nbr_seen:
             self._check_budget()
             self._nbr_seen.add(slot)
-        w = int(g.targets[slot])
-        # Adjacency of (v, w) is now known for free.
-        self._pair_cache[v * self.n + w if v < w else w * self.n + v] = True
+            # Adjacency of (v, w) is now known for free.
+            self._pair_cache[v * self.n + w if v < w else w * self.n + v] = True
         return w
 
     def q_pair(self, u: int, v: int) -> bool:
