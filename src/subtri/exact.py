@@ -17,6 +17,7 @@ graph.targets; the (v, x) mapping is built from it on first access.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,6 @@ class TriangleStats:
     t: int
     t_v: np.ndarray
     t_e_slots: np.ndarray
-    _t_e: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def _nonzero_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(v, x, count) arrays over the slots with a nonzero count."""
@@ -48,13 +48,11 @@ class TriangleStats:
         v = np.searchsorted(self.graph.offsets, slots, side="right") - 1
         return v, self.graph.targets[slots], self.t_e_slots[slots]
 
-    @property
+    @cached_property
     def t_e(self) -> dict[tuple[int, int], int]:
         """The nonzero t_e counts keyed by directed edge (v, x)."""
-        if self._t_e is None:
-            v, x, c = self._nonzero_edges()
-            self._t_e = dict(zip(zip(v.tolist(), x.tolist()), c.tolist()))
-        return self._t_e
+        v, x, c = self._nonzero_edges()
+        return dict(zip(zip(v.tolist(), x.tolist()), c.tolist()))
 
     def to_json_dict(self) -> dict:
         v, x, c = self._nonzero_edges()

@@ -14,6 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 
+from .query_oracle import neighbor_index
+
 HEAVY = "heavy"
 LIGHT = "light"
 BORDERLINE = "borderline"
@@ -77,10 +79,7 @@ def closing_probes(oracle, v: int, x: int, d_v: int, d_x: int, r: int, rng: rand
         u, o, d_u = v, x, d_v
     q_neighbor = oracle.q_neighbor
     for _ in range(r):
-        # rng.randrange(d) for d > 0 returns rng._randbelow(d); the direct
-        # call draws the same index without randrange's argument handling,
-        # which costs more than the query itself on the classifier's loop.
-        w = q_neighbor(u, rng._randbelow(d_u) + 1)
+        w = q_neighbor(u, neighbor_index(rng, d_u))
         if w == v or w == x or not oracle.q_pair(o, w):
             continue
         d_w = oracle.q_degree(w)
@@ -174,18 +173,15 @@ def classify_heavy(
     s = params.resolve_s(m_bar, t_bar, eps)
     threshold = decision_threshold(t_bar, eps)
 
-    # Each sample draws and meters like q_random_edge_at(v, rng), whose
-    # degree query of v is already spent; the draw is randrange(d_v) as in
-    # closing_probes.
-    q_degree, q_neighbor = oracle.q_degree, oracle.q_neighbor
-    below = rng._randbelow
+    q_degree = oracle.q_degree
+    q_edge = oracle.q_random_edge_at
     estimates = []
     for _ in range(reps):
         y_total = 0.0
         for _ in range(s):
-            x = q_neighbor(v, below(d_v) + 1)
+            _, x = q_edge(v, rng)
             d_x = q_degree(x)
-            d_u = d_x if d_x < d_v else d_v
+            d_u = min(d_v, d_x)
             r = ceil_div_by_sqrt(d_u, m_bar)
             hits = 0
             for _ in closing_probes(oracle, v, x, d_v, d_x, r, rng):

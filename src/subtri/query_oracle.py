@@ -24,6 +24,20 @@ from .graph_store import Graph
 ABSENT = None
 
 
+def neighbor_index(rng: random.Random, d: int) -> int:
+    """A uniform neighbor index in 1..d, the draw rng.randrange(d) + 1.
+
+    For an int d > 0, CPython's randrange(d) returns rng._randbelow(d)
+    (random.py of CPython 3.11; tests/test_query_oracle.py checks that the
+    two streams agree). The direct call skips randrange's argument handling,
+    which costs more than a memoized query on the classifier's loop. d <= 0
+    raises ValueError as randrange does, where _randbelow(0) never returns.
+    """
+    if d <= 0:
+        raise ValueError(f"no neighbor index to draw below {d}")
+    return rng._randbelow(d) + 1
+
+
 class BudgetExhausted(RuntimeError):
     """Raised when a charged query would push past the configured budget."""
 
@@ -179,8 +193,7 @@ class QueryOracle:
         d = self.q_degree(v)
         if d == 0:
             raise ValueError(f"vertex {v} is isolated; it has no incident edge")
-        i = (rng or self._rng).randrange(d) + 1
-        return v, self.q_neighbor(v, i)
+        return v, self.q_neighbor(v, neighbor_index(rng or self._rng, d))
 
     @property
     def stats(self) -> QueryStats:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from subtri import ABSENT, BudgetExhausted, Graph, QueryOracle
+from subtri.query_oracle import neighbor_index
 from util import complete_graph, gnp_graph
 
 
@@ -255,3 +256,15 @@ class TestRandomEdge:
         s = o.stats
         assert s.degree == 1
         assert s.neighbor <= 3
+
+    def test_neighbor_index_draws_as_randrange(self):
+        # Seeded outputs rest on neighbor_index(rng, d) == rng.randrange(d) + 1.
+        ours, ref = random.Random(5), random.Random(5)
+        for d in [1, 2, 3, 7, 64, 1000, 2**31 + 11]:
+            for _ in range(200):
+                assert neighbor_index(ours, d) == ref.randrange(d) + 1
+
+    @pytest.mark.parametrize("d", [0, -3])
+    def test_neighbor_index_rejects_empty_range(self, d):
+        with pytest.raises(ValueError):
+            neighbor_index(random.Random(0), d)
