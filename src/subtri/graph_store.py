@@ -9,6 +9,7 @@ neighbor queries are well defined and reproducible.
 from __future__ import annotations
 
 import math
+from array import array
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -54,31 +55,36 @@ class Graph:
             arr.setflags(write=False)
 
     @classmethod
-    def from_edges(
-        cls, n: int, edges: Sequence[tuple[int, int]], validate: bool = True
-    ) -> "Graph":
-        """Build a graph from (u, v) pairs.
+    def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
+        """Build a graph from (u, v) integer pairs.
 
-        Rejects self loops, duplicate edges (in either orientation), and ids
-        outside [0, n). Neighbor lists keep the order in which edges appear.
+        A ValueError names the first pair with a non-integer id, an id outside
+        [0, n), equal ends or an earlier pair's ends, in either orientation.
+        Neighbor lists keep the order in which edges appear.
         """
-        m = len(edges)
-        arr = np.asarray(edges, dtype=np.int64)
-        if m:
-            if arr.shape != (m, 2):
-                raise ValueError("edges must be (u, v) pairs")
-            if validate:
-                _check_edges(n, arr)
+        arr = np.asarray(edges)
+        m = len(arr)
+        if m and arr.shape != (m, 2):
+            raise ValueError("edges must be (u, v) pairs")
+        if m and arr.dtype.kind not in "iu":
+            raise ValueError(f"vertex ids must be integers, got {arr.dtype}")
         # Slot 2k holds u_k and slot 2k+1 holds v_k. A stable sort by endpoint
         # lists each vertex's incidences in edge order, and the partner of
         # slot j is slot j ^ 1.
-        flat = arr.ravel()
+        flat = arr.astype(np.int64, copy=False).ravel()
+        order = np.argsort(flat, kind="stable")
+        sources = flat[order]
+        targets = flat[order ^ 1]
+        sorted_targets = targets[np.lexsort((targets, sources))]
+        # The sorted sources hold the smallest and largest id at their ends.
+        # A repeated edge or a self loop lists one neighbor twice in a row.
+        repeats = (sorted_targets[1:] == sorted_targets[:-1]) & (sources[1:] == sources[:-1])
+        if m and (sources[0] < 0 or sources[-1] >= n or repeats.any()):
+            k, reason = _first_bad_edge(n, flat)
+            raise ValueError(f"edge {k}: {reason}")
         degrees = np.bincount(flat, minlength=n).astype(np.int64)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=offsets[1:])
-        order = np.argsort(flat, kind="stable")
-        targets = flat[order ^ 1]
-        sorted_targets = targets[np.lexsort((targets, flat[order]))]
         g = cls(n, m, degrees, offsets, targets, sorted_targets)
         g._check_invariants()
         return g
@@ -112,8 +118,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Adjacency test by binary search on the lower-degree endpoint."""
-        if u == v:
-            return False
         if self.degrees[u] > self.degrees[v]:
             u, v = v, u
         lo, hi = self.offsets[u], self.offsets[u + 1]
@@ -133,16 +137,20 @@ class Graph:
                     yield v, int(w)
 
 
-def _check_edges(n: int, arr: np.ndarray) -> None:
-    if arr.min() < 0 or arr.max() >= n:
-        raise ValueError("vertex id out of range")
-    if (arr[:, 0] == arr[:, 1]).any():
-        raise ValueError("self loop")
-    lo = arr.min(axis=1)
-    hi = arr.max(axis=1)
-    keys = lo * np.int64(n) + hi
-    if len(np.unique(keys)) != len(keys):
-        raise ValueError("duplicate edge")
+def _first_bad_edge(n: int, flat: np.ndarray) -> tuple[int, str]:
+    """Index and reason of the first pair (flat holds them end to end) with a
+    negative id, an id of n or more, equal ends, or an earlier pair's ends."""
+    lo, hi = np.minimum(flat[0::2], flat[1::2]), np.maximum(flat[0::2], flat[1::2])
+    _, first = np.unique(np.column_stack((lo, hi)), axis=0, return_index=True)
+    repeat = ~np.isin(np.arange(len(lo)), first)
+    k = int(np.argmax((lo < 0) | (hi >= n) | (lo == hi) | repeat))
+    if lo[k] < 0:
+        return k, "negative vertex id"
+    if hi[k] >= n:
+        return k, "vertex id out of range"
+    if lo[k] == hi[k]:
+        return k, f"self loop at vertex {lo[k]}"
+    return k, f"duplicate edge ({lo[k]}, {hi[k]})"
 
 
 def load_edge_list(source: str | Path | Iterable[str]) -> Graph:
@@ -151,7 +159,8 @@ def load_edge_list(source: str | Path | Iterable[str]) -> Graph:
     Format: whitespace-separated "u v" pairs, one per line. Lines starting
     with '#' and blank lines are skipped. The first data line may be a header
     "n <count>" declaring the vertex count (needed when trailing vertices are
-    isolated). Errors report 1-based line numbers.
+    isolated). Errors name the earliest faulty line (1-based), or else a header
+    smaller than the largest id.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -160,61 +169,55 @@ def load_edge_list(source: str | Path | Iterable[str]) -> Graph:
 
 
 def _parse_lines(lines: Iterable[str]) -> Graph:
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    # Tokenize only. Graph.from_edges checks the pairs read before the first
+    # line that does not tokenize, and line_nos maps a pair it rejects back.
+    pairs = array("q")
+    line_nos = array("q")
     declared_n = None
-    header_line = 0
-    max_id = -1
-    saw_data = False
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if not saw_data and parts[0] == "n":
+    error = None
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if parts[0] == "n" and declared_n is None and not line_nos:
+                if len(parts) != 2:
+                    raise GraphFormatError(line_no, "header must be 'n <count>'")
+                try:
+                    declared_n = int(parts[1])
+                except ValueError:
+                    raise GraphFormatError(line_no, f"bad vertex count {parts[1]!r}")
+                if declared_n < 0:
+                    raise GraphFormatError(line_no, "vertex count must be nonnegative")
+                header_line = line_no
+                continue
             if len(parts) != 2:
-                raise GraphFormatError(line_no, "header must be 'n <count>'")
+                raise GraphFormatError(line_no, f"expected 'u v', got {raw.strip()!r}")
             try:
-                declared_n = int(parts[1])
+                pairs.extend((int(parts[0]), int(parts[1])))
             except ValueError:
-                raise GraphFormatError(line_no, f"bad vertex count {parts[1]!r}")
-            if declared_n < 0:
-                raise GraphFormatError(line_no, "vertex count must be nonnegative")
-            header_line = line_no
-            saw_data = True
-            continue
-        saw_data = True
-        if len(parts) != 2:
-            raise GraphFormatError(line_no, f"expected 'u v', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(line_no, f"non-integer vertex id in {line!r}")
-        if u < 0 or v < 0:
-            raise GraphFormatError(line_no, "negative vertex id")
-        if u == v:
-            raise GraphFormatError(line_no, f"self loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphFormatError(line_no, f"duplicate edge {key}")
-        seen.add(key)
-        edges.append((u, v))
-        if v > max_id:
-            max_id = v
-        if u > max_id:
-            max_id = u
-    n = max_id + 1
-    if declared_n is not None:
-        if declared_n < n:
-            raise GraphFormatError(header_line, f"header n={declared_n} smaller than max id {max_id}")
-        n = declared_n
-    return Graph.from_edges(n, edges, validate=False)
+                raise GraphFormatError(line_no, f"non-integer vertex id in {raw.strip()!r}")
+            except OverflowError:
+                raise GraphFormatError(line_no, f"vertex id outside the int64 range in {raw.strip()!r}")
+            line_nos.append(line_no)
+    except GraphFormatError as exc:
+        error = exc
+    flat = np.frombuffer(pairs, dtype=np.int64, count=2 * len(line_nos))
+    n = max(int(flat.max(initial=-1)) + 1, declared_n or 0)
+    try:
+        graph = Graph.from_edges(n, flat.reshape(-1, 2))
+    except ValueError:
+        k, reason = _first_bad_edge(n, flat)
+        raise GraphFormatError(line_nos[k], reason) from None
+    if error is not None:
+        raise error
+    if declared_n is not None and declared_n < n:
+        raise GraphFormatError(header_line, f"header n={declared_n} smaller than max id {n - 1}")
+    return graph
 
 
-def write_edge_list(graph: Graph, path: str | Path, header: bool = True) -> None:
-    """Write a graph in the edge-list format load_edge_list reads."""
+def write_edge_list(graph: Graph, path: str | Path) -> None:
+    """Write a graph, with its "n <count>" header, in the format load_edge_list reads."""
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"n {graph.n}\n")
-        for u, v in graph.edges():
-            fh.write(f"{u} {v}\n")
+        fh.write(f"n {graph.n}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in graph.edges())

@@ -34,12 +34,6 @@ class GenResult:
         return {"family": self.family, "params": self.params, "exact_t": self.exact_t}
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _seed_value(seed):
     return seed if isinstance(seed, int) or seed is None else None
 
@@ -75,10 +69,10 @@ def gen_clique_family(n: int, t: int, seed=None) -> GenResult:
         raise ValueError("t must be at least 27 so the clique has 3+ vertices")
     if n < q:
         raise ValueError(f"n={n} too small for clique of size {q}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     members = np.sort(rng.choice(n, size=q, replace=False))
     edges = [(int(members[i]), int(members[j])) for i in range(q) for j in range(i + 1, q)]
-    graph = Graph.from_edges(n, edges, validate=False)
+    graph = Graph.from_edges(n, edges)
     return GenResult(
         graph=graph,
         family="clique",
@@ -97,8 +91,8 @@ def gen_g1_bipartite(n: int, side: int, seed=None, shuffle: bool = False) -> Gen
     if n < 2 * s:
         raise ValueError(f"n={n} too small for two sides of {s}")
     edges = [(i, s + j) for i in range(s) for j in range(s)]
-    edges, _ = _maybe_shuffle(_as_rng(seed), n, edges, shuffle)
-    graph = Graph.from_edges(n, edges, validate=False)
+    edges, _ = _maybe_shuffle(np.random.default_rng(seed), n, edges, shuffle)
+    graph = Graph.from_edges(n, edges)
     return GenResult(
         graph=graph,
         family="g1-bipartite",
@@ -138,10 +132,10 @@ def gen_g2_matching(n: int, side: int, seed=None, shuffle: bool = False) -> GenR
         raise ValueError("side must be even and at least 2")
     if n < 4 * s:
         raise ValueError(f"n={n} too small for two panels of {2 * s}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     edges = _panel_edges(rng, 0, s) + _panel_edges(rng, 2 * s, s)
     edges, _ = _maybe_shuffle(rng, n, edges, shuffle)
-    graph = Graph.from_edges(n, edges, validate=False)
+    graph = Graph.from_edges(n, edges)
     return GenResult(
         graph=graph,
         family="g2-matching",
@@ -196,7 +190,7 @@ def gen_g2_multi_matching(n: int, side: int, r: int, seed=None, shuffle: bool = 
         raise ValueError("need 1 < r <= side/8")
     if n < 2 * s:
         raise ValueError(f"n={n} too small for a panel of {2 * s}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     # Random permutation composed with r distinct cyclic shifts: the r cross
     # matchings are pairwise disjoint by construction.
     pi = rng.permutation(s)
@@ -209,7 +203,7 @@ def gen_g2_multi_matching(n: int, side: int, r: int, seed=None, shuffle: bool = 
     edges += _disjoint_side_matchings(rng, 0, s, r)
     edges += _disjoint_side_matchings(rng, s, s, r)
     edges, _ = _maybe_shuffle(rng, n, edges, shuffle)
-    graph = Graph.from_edges(n, edges, validate=False)
+    graph = Graph.from_edges(n, edges)
     t = int(count_ordered(graph).t)
     lo = r * s * (s - 2 * r)
     hi = r * s * (s - 2) + r * r * s
@@ -240,7 +234,7 @@ def gen_g2_partial_matching(n: int, side: int, k: int, seed=None, shuffle: bool 
         raise ValueError("need k <= side/4")
     if n < 2 * s:
         raise ValueError(f"n={n} too small for a panel of {2 * s}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     idx = rng.permutation(rng.choice(s, size=k, replace=False))
     matched = set(int(i) for i in idx)
     edges = [(i, s + j) for i in range(s) for j in range(s) if not (i == j and i in matched)]
@@ -249,7 +243,7 @@ def gen_g2_partial_matching(n: int, side: int, k: int, seed=None, shuffle: bool 
         edges.append((i1, i2))
         edges.append((s + i1, s + i2))
     edges, _ = _maybe_shuffle(rng, n, edges, shuffle)
-    graph = Graph.from_edges(n, edges, validate=False)
+    graph = Graph.from_edges(n, edges)
     return GenResult(
         graph=graph,
         family="g2-partial-matching",
@@ -279,7 +273,7 @@ def gen_special_four(
         raise ValueError("need at least 4 blocks (side/t >= 4)")
     if n < 4 * s:
         raise ValueError(f"n={n} too small for four sets of {s}")
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)
     a0, b0, c0, d0 = 0, s, 2 * s, 3 * s
 
     purple = set()
@@ -316,7 +310,7 @@ def gen_special_four(
     edges, perm = _maybe_shuffle(rng, n, edges, shuffle)
     if specials is not None and perm is not None:
         specials = [int(perm[v]) for v in specials]
-    graph = Graph.from_edges(n, edges, validate=False)
+    graph = Graph.from_edges(n, edges)
     meta = {"blocks": nb, "block_size": t}
     if specials is not None:
         meta["special_vertices"] = specials

@@ -99,11 +99,13 @@ class QueryOracle:
         self._pair_cache: dict[int, bool] = {}
         self._pair_count = 0
         self._vertex_samples = 0
-        self._cap = budget
+        self.set_budget(budget)
 
     # -- budget -----------------------------------------------------------
 
     def set_budget(self, cap: int | None) -> None:
+        if cap is not None and cap < 0:
+            raise ValueError(f"query budget must be at least 0, got {cap}")
         self._cap = cap
 
     @property

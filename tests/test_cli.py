@@ -132,6 +132,11 @@ class TestEstimate:
         assert code == 3
         assert "eps must be positive" in capsys.readouterr().err
 
+    def test_negative_budget_is_exit_three(self, tmp_path, capsys):
+        code = main(["estimate", "--input", k4_path(tmp_path), "--budget", "-3"])
+        assert code == 3
+        assert "query budget must be at least 0" in capsys.readouterr().err
+
     def test_package_bug_is_exit_four(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("bug")

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -59,6 +60,16 @@ class TestFromEdges:
     def test_rejects_out_of_range_id(self):
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(2, [(0, 2)])
+
+    def test_rejects_non_integer_ids(self):
+        with pytest.raises(ValueError, match="integers"):
+            Graph.from_edges(3, [(0.7, 1.2), (1, 2.9)])
+        with pytest.raises(ValueError, match="integers"):
+            Graph.from_edges(3, np.array([[0.0, 1.0]]))
+
+    def test_error_names_the_first_bad_pair(self):
+        with pytest.raises(ValueError, match=r"^edge 2: duplicate edge \(1, 3\)$"):
+            Graph.from_edges(4, [(0, 1), (1, 3), (3, 1), (2, 2)])
 
 
 class TestQueries:
@@ -178,7 +189,61 @@ class TestInvariantExceptions:
         assert proc.stdout.strip() == "raised: successor bound violated"
 
 
+# (lines, line_no, message) for malformed edge lists. Inputs with two faults
+# report the one on the earliest line, and a small header is reported only
+# when no data line is at fault.
+MALFORMED = [
+    (["3 3"], 1, "self loop at vertex 3"),
+    (["0 1", "1 2", "1 0"], 3, "duplicate edge (0, 1)"),
+    (["0 1", "1 0", "x y"], 2, "duplicate edge (0, 1)"),
+    (["n 2", "0 5", "3 3"], 3, "self loop at vertex 3"),
+    (["-2 -2"], 1, "negative vertex id"),
+    (["0 x"], 1, "non-integer vertex id in '0 x'"),
+    (["0 1.5"], 1, "non-integer vertex id in '0 1.5'"),
+    (["0 1 2"], 1, "expected 'u v', got '0 1 2'"),
+    (["7"], 1, "expected 'u v', got '7'"),
+    (["n 2", "0 5"], 1, "header n=2 smaller than max id 5"),
+    (["# c", "", "n 2", "0 1", "1 5"], 3, "header n=2 smaller than max id 5"),
+    (["n x"], 1, "bad vertex count 'x'"),
+    (["n"], 1, "header must be 'n <count>'"),
+    (["n 1 2"], 1, "header must be 'n <count>'"),
+    (["n -1"], 1, "vertex count must be nonnegative"),
+    (["0 1", "n 5"], 2, "non-integer vertex id in 'n 5'"),
+    (["n 3", "n 4"], 2, "non-integer vertex id in 'n 4'"),
+    (["x y", "0 0"], 1, "non-integer vertex id in 'x y'"),
+    (["0 0", "x y"], 1, "self loop at vertex 0"),
+    (["1 -1", "1 -1"], 1, "negative vertex id"),
+    (["0 1", "2 2", "0 1"], 2, "self loop at vertex 2"),
+    (["0 1", "-1 0", "0 1"], 2, "negative vertex id"),
+    (["0 1", "2 3", "1 -4"], 3, "negative vertex id"),
+    (["  0   1  ", "\t1 0\t"], 2, "duplicate edge (0, 1)"),
+    (["0 1", "1 2", "2 0", "2 1", "5 5"], 4, "duplicate edge (1, 2)"),
+    (["n 4", "# c", "2 3", "", "3 2"], 5, "duplicate edge (2, 3)"),
+    (["n 3", "0 1", "1 2 3"], 3, "expected 'u v', got '1 2 3'"),
+    (["n 1", "0 1", "x"], 3, "expected 'u v', got 'x'"),
+]
+
+
 class TestLoadEdgeList:
+    @pytest.mark.parametrize("lines, line_no, message", MALFORMED)
+    def test_first_error_and_its_line(self, lines, line_no, message):
+        with pytest.raises(GraphFormatError) as exc:
+            load_edge_list(lines)
+        assert exc.value.line_no == line_no
+        assert str(exc.value) == f"line {line_no}: {message}"
+
+    @pytest.mark.parametrize(
+        "lines, expected",
+        [
+            (["0 1", "0 -9223372036854775809"], "line 2: vertex id outside the int64 range in '0 -9223372036854775809'"),
+            (["0 1", "0 9223372036854775808"], "line 2: vertex id outside the int64 range in '0 9223372036854775808'"),
+            (["1 1", "0 99999999999999999999"], "line 1: self loop at vertex 1"),
+        ],
+    )
+    def test_id_past_int64_is_a_format_error(self, lines, expected):
+        with pytest.raises(GraphFormatError, match="^" + re.escape(expected) + "$"):
+            load_edge_list(lines)
+
     def test_parses_plain_pairs(self):
         g = load_edge_list(["0 1", "1 2"])
         assert g.n == 3

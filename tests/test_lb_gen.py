@@ -201,10 +201,10 @@ class TestCommonContracts:
     def test_edges_are_simple_and_in_range(self):
         for call in self.FAMILY_CALLS:
             res = call(3, False)
-            # Rebuilding with validation on proves the stored edges hold no
-            # duplicates or out-of-range ids; edges() skips self loops, so an
-            # equal edge count proves there were none.
-            rebuilt = Graph.from_edges(res.graph.n, list(res.graph.edges()), validate=True)
+            # Rebuilding through from_edges' checks proves the stored edges
+            # hold no duplicates or out-of-range ids; edges() skips self
+            # loops, so an equal edge count proves there were none.
+            rebuilt = Graph.from_edges(res.graph.n, list(res.graph.edges()))
             assert rebuilt.m == res.graph.m
 
     def test_shuffle_preserves_counts_and_degrees(self):

@@ -171,6 +171,52 @@ class TestGraphStorage:
                 assert g.has_edge(u, v) == (frozenset((u, v)) in present)
 
 
+def first_bad_pair(n: int, edges) -> tuple[int, str] | None:
+    """The first pair with a negative id, an id of n or more, equal ends, or
+    the ends of an earlier pair, as (index, reason), tried in that order."""
+    seen = set()
+    for k, (u, v) in enumerate(edges):
+        key = frozenset((u, v))
+        if u < 0 or v < 0:
+            return k, "negative vertex id"
+        if u >= n or v >= n:
+            return k, "vertex id out of range"
+        if u == v:
+            return k, "self loop"
+        if key in seen:
+            return k, "duplicate edge"
+        seen.add(key)
+    return None
+
+
+@st.composite
+def edge_lists_with_faults(draw):
+    """(n, edges): a simple graph's edges with 0-3 arbitrary pairs inserted.
+
+    The inserted pairs take ids in [-2, n + 1], so each may be in range or
+    not, a loop, a repeat in either orientation, or a valid new edge.
+    """
+    n, edges = draw(edge_lists(min_n=0, max_n=8))
+    ids = st.integers(-2, n + 1)
+    for pair in draw(st.lists(st.tuples(ids, ids), max_size=3)):
+        edges.insert(draw(st.integers(0, len(edges))), pair)
+    return n, edges
+
+
+class TestEdgeChecks:
+    @given(edge_lists_with_faults())
+    @settings(max_examples=400, deadline=None)
+    def test_rejects_exactly_the_first_bad_pair(self, case):
+        n, edges = case
+        bad = first_bad_pair(n, edges)
+        if bad is None:
+            assert Graph.from_edges(n, edges).m == len(edges)
+            return
+        k, reason = bad
+        with pytest.raises(ValueError, match=rf"^edge {k}: {reason}"):
+            Graph.from_edges(n, edges)
+
+
 def nx_graph(g: Graph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))

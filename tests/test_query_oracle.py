@@ -180,6 +180,14 @@ class TestBudget:
         o.set_budget(None)
         assert o.q_neighbor(0, 2) == 2
 
+    def test_negative_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="at least 0"):
+            triangle_oracle(budget=-3)
+        o = triangle_oracle(budget=0)
+        with pytest.raises(ValueError, match="at least 0"):
+            o.set_budget(-1)
+        assert o.budget_cap == 0
+
     def test_random_edge_propagates_exhaustion(self):
         o = triangle_oracle(budget=0)
         with pytest.raises(BudgetExhausted):

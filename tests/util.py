@@ -28,7 +28,7 @@ def gnp_edges(n: int, p: float, seed: int) -> np.ndarray:
 
 
 def gnp_graph(n: int, p: float, seed: int) -> Graph:
-    return Graph.from_edges(n, gnp_edges(n, p, seed), validate=False)
+    return Graph.from_edges(n, gnp_edges(n, p, seed))
 
 
 def complete_graph(n: int) -> Graph:
