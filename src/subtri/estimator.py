@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import count_ordered
 from .heavy import HEAVY, LIGHT, HeavyParams, ceil_div_by_sqrt, classify_heavy, closing_probes, lower_median
-from .query_oracle import BudgetExhausted, QueryOracle
+from .query_oracle import BudgetExhausted, QueryOracle, draw_below
 
 # The theoretical profile shrinks eps for advice runs by 3 times this
 # constant, matching the accuracy the heavy-verdict analysis charges for.
@@ -94,7 +95,9 @@ class DegreeWeightedSampler:
     """Draw vertices from a fixed multiset with probability proportional to degree.
 
     Degrees are fetched once through the oracle (batched); draws are exact,
-    via a prefix-sum search over the multiset's degree sequence.
+    via a binary search of a uniform position over the prefix sums of the
+    multiset's degree sequence. The search finds the first prefix sum above
+    the position, so a zero-degree member is never drawn.
     """
 
     def __init__(self, oracle: QueryOracle, vertices: np.ndarray):
@@ -102,13 +105,16 @@ class DegreeWeightedSampler:
         degs = oracle.q_degree_batch(self.vertices)
         self._cum = np.cumsum(degs, dtype=np.int64)
         self.total_degree = int(self._cum[-1]) if len(self.vertices) else 0
+        # Memoryviews make each draw Python-int work: indexing one yields a
+        # Python int, and bisect reads it as a sequence.
+        self._cum_view = memoryview(self._cum)
+        self._vertices_view = memoryview(self.vertices)
 
     def draw(self, rng: random.Random) -> int:
         if self.total_degree <= 0:
             raise ValueError("sampler has zero total degree")
-        pos = rng.randrange(self.total_degree)
-        idx = int(np.searchsorted(self._cum, pos, side="right"))
-        return int(self.vertices[idx])
+        pos = draw_below(rng, self.total_degree)
+        return self._vertices_view[bisect_right(self._cum_view, pos)]
 
 
 def _split(seed) -> tuple[random.Random, np.random.Generator, int]:

@@ -39,13 +39,24 @@ def _seed_value(seed):
 
 
 def _maybe_shuffle(
-    rng: np.random.Generator, n: int, edges: list[tuple[int, int]], shuffle: bool
-) -> tuple[list[tuple[int, int]], np.ndarray | None]:
+    rng: np.random.Generator, n: int, edges: np.ndarray, shuffle: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Optionally relabel all ids by a uniform permutation of [0, n)."""
     if not shuffle:
         return edges, None
     perm = rng.permutation(n)
-    return [(int(perm[u]), int(perm[v])) for u, v in edges], perm
+    return perm[edges], perm
+
+
+def _grid_edges(rows: np.ndarray, cols: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """(rows[i], cols[j]) for each kept cell of the boolean grid keep, row by row."""
+    i, j = np.nonzero(keep)
+    return np.column_stack((rows[i], cols[j]))
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (k, 2) edge arrays a and b merged as a[0], b[0], a[1], b[1], ..."""
+    return np.stack((a, b), axis=1).reshape(-1, 2)
 
 
 def _icbrt(x: int) -> int:
@@ -71,7 +82,8 @@ def gen_clique_family(n: int, t: int, seed=None) -> GenResult:
         raise ValueError(f"n={n} too small for clique of size {q}")
     rng = np.random.default_rng(seed)
     members = np.sort(rng.choice(n, size=q, replace=False))
-    edges = [(int(members[i]), int(members[j])) for i in range(q) for j in range(i + 1, q)]
+    i, j = np.triu_indices(q, 1)
+    edges = np.column_stack((members[i], members[j]))
     graph = Graph.from_edges(n, edges)
     return GenResult(
         graph=graph,
@@ -90,7 +102,8 @@ def gen_g1_bipartite(n: int, side: int, seed=None, shuffle: bool = False) -> Gen
         raise ValueError("side must be positive")
     if n < 2 * s:
         raise ValueError(f"n={n} too small for two sides of {s}")
-    edges = [(i, s + j) for i in range(s) for j in range(s)]
+    ids = np.arange(s, dtype=np.int64)
+    edges = _grid_edges(ids, s + ids, np.ones((s, s), dtype=bool))
     edges, _ = _maybe_shuffle(np.random.default_rng(seed), n, edges, shuffle)
     graph = Graph.from_edges(n, edges)
     return GenResult(
@@ -102,21 +115,17 @@ def gen_g1_bipartite(n: int, side: int, seed=None, shuffle: bool = False) -> Gen
     )
 
 
-def _pairing(rng: np.random.Generator, ids: np.ndarray) -> list[tuple[int, int]]:
+def _pairing(rng: np.random.Generator, ids: np.ndarray) -> np.ndarray:
     """A uniform perfect matching on ids (even count), as consecutive pairs."""
-    order = rng.permutation(ids)
-    return [(int(order[2 * i]), int(order[2 * i + 1])) for i in range(len(ids) // 2)]
+    return rng.permutation(ids).reshape(-1, 2)
 
 
-def _panel_edges(rng: np.random.Generator, base: int, s: int) -> list[tuple[int, int]]:
+def _panel_edges(rng: np.random.Generator, base: int, s: int) -> np.ndarray:
     """K_{s,s} minus a random perfect cross matching, plus one matching per side."""
     removed = rng.permutation(s)
-    edges = [
-        (base + i, base + s + j) for i in range(s) for j in range(s) if j != removed[i]
-    ]
-    edges += _pairing(rng, np.arange(base, base + s))
-    edges += _pairing(rng, np.arange(base + s, base + 2 * s))
-    return edges
+    ids = np.arange(base, base + s, dtype=np.int64)
+    cross = _grid_edges(ids, s + ids, np.arange(s) != removed[:, None])
+    return np.concatenate((cross, _pairing(rng, ids), _pairing(rng, s + ids)))
 
 
 def gen_g2_matching(n: int, side: int, seed=None, shuffle: bool = False) -> GenResult:
@@ -133,7 +142,7 @@ def gen_g2_matching(n: int, side: int, seed=None, shuffle: bool = False) -> GenR
     if n < 4 * s:
         raise ValueError(f"n={n} too small for two panels of {2 * s}")
     rng = np.random.default_rng(seed)
-    edges = _panel_edges(rng, 0, s) + _panel_edges(rng, 2 * s, s)
+    edges = np.concatenate((_panel_edges(rng, 0, s), _panel_edges(rng, 2 * s, s)))
     edges, _ = _maybe_shuffle(rng, n, edges, shuffle)
     graph = Graph.from_edges(n, edges)
     return GenResult(
@@ -146,30 +155,24 @@ def gen_g2_matching(n: int, side: int, seed=None, shuffle: bool = False) -> GenR
     )
 
 
-def _one_factor(s: int, k: int) -> list[tuple[int, int]]:
+def _one_factor(s: int, k: int) -> np.ndarray:
     """Round k of the circle-method one-factorization of K_s (s even)."""
-    pairs = [(s - 1, k)]
-    for j in range(1, s // 2):
-        pairs.append(((k + j) % (s - 1), (k - j) % (s - 1)))
-    return pairs
+    j = np.arange(1, s // 2)
+    first = np.concatenate(([s - 1], (k + j) % (s - 1)))
+    second = np.concatenate(([k], (k - j) % (s - 1)))
+    return np.column_stack((first, second))
 
 
-def _disjoint_side_matchings(
-    rng: np.random.Generator, base: int, s: int, r: int
-) -> list[tuple[int, int]]:
+def _disjoint_side_matchings(rng: np.random.Generator, base: int, s: int, r: int) -> np.ndarray:
     """r pairwise edge-disjoint perfect matchings on [base, base+s).
 
     Takes r rounds of a one-factorization of K_s under a random vertex
     relabeling: disjointness is structural, randomness comes from the
     relabeling and the round choice.
     """
-    relabel = rng.permutation(s)
+    relabel = base + rng.permutation(s)
     rounds = rng.choice(s - 1, size=r, replace=False)
-    edges = []
-    for k in rounds:
-        for a, b in _one_factor(s, int(k)):
-            edges.append((base + int(relabel[a]), base + int(relabel[b])))
-    return edges
+    return relabel[np.concatenate([_one_factor(s, int(k)) for k in rounds])]
 
 
 def gen_g2_multi_matching(n: int, side: int, r: int, seed=None, shuffle: bool = False) -> GenResult:
@@ -195,13 +198,14 @@ def gen_g2_multi_matching(n: int, side: int, r: int, seed=None, shuffle: bool = 
     # matchings are pairwise disjoint by construction.
     pi = rng.permutation(s)
     shifts = rng.choice(s, size=r, replace=False)
-    removed = [set() for _ in range(s)]
-    for c in shifts:
-        for i in range(s):
-            removed[i].add((int(pi[i]) + int(c)) % s)
-    edges = [(i, s + j) for i in range(s) for j in range(s) if j not in removed[i]]
-    edges += _disjoint_side_matchings(rng, 0, s, r)
-    edges += _disjoint_side_matchings(rng, s, s, r)
+    keep = np.ones((s, s), dtype=bool)
+    keep[np.arange(s)[:, None], (pi[:, None] + shifts) % s] = False
+    ids = np.arange(s, dtype=np.int64)
+    edges = np.concatenate((
+        _grid_edges(ids, s + ids, keep),
+        _disjoint_side_matchings(rng, 0, s, r),
+        _disjoint_side_matchings(rng, s, s, r),
+    ))
     edges, _ = _maybe_shuffle(rng, n, edges, shuffle)
     graph = Graph.from_edges(n, edges)
     t = int(count_ordered(graph).t)
@@ -236,12 +240,12 @@ def gen_g2_partial_matching(n: int, side: int, k: int, seed=None, shuffle: bool 
         raise ValueError(f"n={n} too small for a panel of {2 * s}")
     rng = np.random.default_rng(seed)
     idx = rng.permutation(rng.choice(s, size=k, replace=False))
-    matched = set(int(i) for i in idx)
-    edges = [(i, s + j) for i in range(s) for j in range(s) if not (i == j and i in matched)]
-    for a in range(0, k, 2):
-        i1, i2 = int(idx[a]), int(idx[a + 1])
-        edges.append((i1, i2))
-        edges.append((s + i1, s + i2))
+    keep = np.ones((s, s), dtype=bool)
+    keep[idx, idx] = False
+    ids = np.arange(s, dtype=np.int64)
+    # Quad a adds (idx[2a], idx[2a+1]) and its copy on the other side.
+    quads = idx.reshape(-1, 2)
+    edges = np.concatenate((_grid_edges(ids, s + ids, keep), _interleave(quads, s + quads)))
     edges, _ = _maybe_shuffle(rng, n, edges, shuffle)
     graph = Graph.from_edges(n, edges)
     return GenResult(
@@ -276,8 +280,8 @@ def gen_special_four(
     rng = np.random.default_rng(seed)
     a0, b0, c0, d0 = 0, s, 2 * s, 3 * s
 
-    purple = set()
-    green: list[tuple[int, int]] = []
+    green = np.empty((0, 2), dtype=np.int64)
+    purple = np.empty((0, 2), dtype=np.int64)
     specials = None
     if special:
         ia, ib, ic, id_ = (int(x) for x in rng.choice(nb, size=4, replace=False))
@@ -285,27 +289,23 @@ def gen_special_four(
         b_star = b0 + ib * t + int(rng.integers(t))
         c_star = c0 + ic * t + int(rng.integers(t))
         d_star = d0 + id_ * t + int(rng.integers(t))
-        green = [(a_star, c_star), (b_star, d_star)]
-        purple = {(a_star, b_star), (c_star, d_star)}
+        green = np.array([(a_star, c_star), (b_star, d_star)], dtype=np.int64)
+        purple = np.array([(a_star, b_star), (c_star, d_star)], dtype=np.int64)
         specials = [a_star, b_star, c_star, d_star]
 
-    edges: list[tuple[int, int]] = []
-    for i in range(s):
-        for j in range(s):
-            if i // t != j // t:
-                e = (a0 + i, b0 + j)
-                if e not in purple:
-                    edges.append(e)
-                e = (c0 + i, d0 + j)
-                if e not in purple:
-                    edges.append(e)
-    for blk in range(nb):
-        lo = blk * t
-        for p in range(t):
-            for q in range(t):
-                edges.append((b0 + lo + p, c0 + lo + q))
-                edges.append((d0 + lo + p, a0 + lo + q))
-    edges += green
+    # Cell (i, j) of each cross grid, in row order, adds A_i-B_j then C_i-D_j
+    # when i and j lie in different blocks; each block index then adds its
+    # B-C and D-A links, pair by pair.
+    ids = np.arange(s, dtype=np.int64)
+    cross = ids[:, None] // t != ids // t
+    edges = _interleave(
+        _grid_edges(a0 + ids, b0 + ids, cross), _grid_edges(c0 + ids, d0 + ids, cross)
+    )
+    edges = edges[~(edges[:, None, :] == purple).all(axis=2).any(axis=1)]
+    links = _interleave(
+        _grid_edges(b0 + ids, c0 + ids, ~cross), _grid_edges(d0 + ids, a0 + ids, ~cross)
+    )
+    edges = np.concatenate((edges, links, green))
 
     edges, perm = _maybe_shuffle(rng, n, edges, shuffle)
     if specials is not None and perm is not None:

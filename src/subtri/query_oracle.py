@@ -24,18 +24,26 @@ from .graph_store import Graph
 ABSENT = None
 
 
-def neighbor_index(rng: random.Random, d: int) -> int:
-    """A uniform neighbor index in 1..d, the draw rng.randrange(d) + 1.
+def draw_below(rng: random.Random, k: int) -> int:
+    """A uniform int in 0..k-1, the draw rng.randrange(k).
 
-    For an int d > 0, CPython's randrange(d) returns rng._randbelow(d)
-    (random.py of CPython 3.11; tests/test_query_oracle.py checks that the
-    two streams agree). The direct call skips randrange's argument handling,
-    which costs more than a memoized query on the classifier's loop. d <= 0
-    raises ValueError as randrange does, where _randbelow(0) never returns.
+    For an int k > 0, CPython's randrange(k) returns rng._randbelow(k)
+    (random.py; tests/test_query_oracle.py checks that the two streams
+    agree, and CI runs that check on Python 3.10 and 3.12 as well as 3.11).
+    The direct call skips randrange's argument handling, which costs more
+    than a memoized query on the estimator's loops. Every seeded index draw
+    goes through here, so this is the one place that relies on the private
+    method. k <= 0 raises ValueError as randrange does, where _randbelow(0)
+    never returns.
     """
-    if d <= 0:
-        raise ValueError(f"no neighbor index to draw below {d}")
-    return rng._randbelow(d) + 1
+    if k <= 0:
+        raise ValueError(f"no index to draw below {k}")
+    return rng._randbelow(k)
+
+
+def neighbor_index(rng: random.Random, d: int) -> int:
+    """A uniform neighbor index in 1..d, the draw rng.randrange(d) + 1."""
+    return draw_below(rng, d) + 1
 
 
 class BudgetExhausted(RuntimeError):
@@ -116,10 +124,12 @@ class QueryOracle:
     def budget_charged(self) -> int:
         return len(self._nbr_seen) + len(self._absent_seen) + self._pair_count
 
-    def _check_budget(self) -> None:
-        """Raise unless the cap leaves room for one more charged query."""
-        if self._cap is not None and self.budget_charged >= self._cap:
-            raise BudgetExhausted(f"query budget of {self._cap} exhausted")
+    # Each fresh-charge branch below tests budget_charged's sum against the
+    # cap inline, before it adds to the memo: the test runs once per distinct
+    # charged query, where a method and a property hop would cost more than
+    # the test itself.
+    def _exhausted(self) -> BudgetExhausted:
+        return BudgetExhausted(f"query budget of {self._cap} exhausted")
 
     # -- queries ----------------------------------------------------------
 
@@ -153,13 +163,19 @@ class QueryOracle:
         if i > self._degrees[v]:
             key = (v, i)
             if key not in self._absent_seen:
-                self._check_budget()
+                if self._cap is not None and (
+                    len(self._nbr_seen) + len(self._absent_seen) + self._pair_count >= self._cap
+                ):
+                    raise self._exhausted()
                 self._absent_seen.add(key)
             return ABSENT
         slot = self._offsets[v] + i - 1
         w = self._targets[slot]
         if slot not in self._nbr_seen:
-            self._check_budget()
+            if self._cap is not None and (
+                len(self._nbr_seen) + len(self._absent_seen) + self._pair_count >= self._cap
+            ):
+                raise self._exhausted()
             self._nbr_seen.add(slot)
             # Adjacency of (v, w) is now known for free.
             self._pair_cache[v * self.n + w if v < w else w * self.n + v] = True
@@ -175,7 +191,10 @@ class QueryOracle:
         cached = self._pair_cache.get(pk)
         if cached is not None:
             return cached
-        self._check_budget()
+        if self._cap is not None and (
+            len(self._nbr_seen) + len(self._absent_seen) + self._pair_count >= self._cap
+        ):
+            raise self._exhausted()
         self._pair_count += 1
         ans = self.graph.has_edge(u, v)
         self._pair_cache[pk] = ans

@@ -85,6 +85,21 @@ class TestQueries:
         g = triangle_graph()
         assert g.has_edge(1, 1) is False
 
+    def test_scalar_reads_return_python_types_for_numpy_ids(self):
+        # Callers index with numpy integers (sampled ids, neighbor arrays);
+        # the answers must still be exact Python bools and ints.
+        g = Graph.from_edges(4, [(0, 1), (1, 2)])
+        for cast in (int, np.int64):
+            u, v, w, x = (cast(i) for i in range(4))
+            assert g.has_edge(u, v) is True
+            assert g.has_edge(v, u) is True
+            assert g.has_edge(u, w) is False
+            assert g.has_edge(x, v) is False
+            assert g.precedes(u, v) is True
+            assert g.precedes(v, u) is False
+            assert g.precedes(u, w) is True
+            assert type(g.degree(v)) is int and g.degree(v) == 2
+
     def test_edges_yields_each_edge_once_min_first(self):
         g = gnp_graph(40, 0.2, seed=1)
         listed = list(g.edges())

@@ -1,14 +1,24 @@
-"""Property tests: oracle metering, graph storage, and the exact counters against networkx."""
+"""Property tests: oracle metering, degree-weighted draws, graph storage, and
+the exact counters against networkx."""
 
+import random
 from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from subtri import BudgetExhausted, Graph, QueryOracle, count_brute, count_ordered, exact
+from subtri import (
+    BudgetExhausted,
+    DegreeWeightedSampler,
+    Graph,
+    QueryOracle,
+    count_brute,
+    count_ordered,
+    exact,
+)
 
 
 @st.composite
@@ -146,6 +156,37 @@ class TestOracleMetering:
                 assert list(degs) == [g.degree(v) for v in vs]
                 asked.update(vs)
             assert oracle.stats.degree == len(asked)
+
+
+@st.composite
+def weighted_multisets(draw):
+    """(graph, multiset): a graph with 1-3 isolated tail vertices and a vertex
+    multiset with repeats that holds at least one of them."""
+    n, edges = draw(edge_lists(min_n=2, max_n=10))
+    assume(edges)
+    g = Graph.from_edges(n + draw(st.integers(1, 3)), edges)
+    members = draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=24))
+    members.insert(draw(st.integers(0, len(members))), draw(st.integers(n, g.n - 1)))
+    members.insert(draw(st.integers(0, len(members))), edges[0][0])
+    return g, members
+
+
+class TestDegreeWeightedDraws:
+    @given(weighted_multisets(), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_draws_match_randrange_and_searchsorted(self, case, seed):
+        # The reference draw: a position by randrange over the total degree,
+        # then the first prefix sum above it by numpy's right-sided search.
+        g, members = case
+        sampler = DegreeWeightedSampler(QueryOracle(g, seed=0), np.array(members))
+        cum = np.cumsum([g.degree(v) for v in members])
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(64):
+            pos = ref.randrange(int(cum[-1]))
+            want = members[int(np.searchsorted(cum, pos, side="right"))]
+            got = sampler.draw(ours)
+            assert got == want
+            assert g.degree(got) > 0
 
 
 class TestGraphStorage:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from subtri import ABSENT, BudgetExhausted, Graph, QueryOracle
-from subtri.query_oracle import neighbor_index
+from subtri.query_oracle import draw_below, neighbor_index
 from util import complete_graph, gnp_graph
 
 
@@ -264,6 +264,15 @@ class TestRandomEdge:
         s = o.stats
         assert s.degree == 1
         assert s.neighbor <= 3
+
+    def test_draw_below_draws_as_randrange(self):
+        # Seeded outputs rest on draw_below(rng, k) == rng.randrange(k), for
+        # neighbor indices and for the degree-weighted sampler's positions.
+        ours, ref = random.Random(11), random.Random(11)
+        for k in [1, 2, 3, 5, 64, 1000, 2**31 + 11, 2**53 + 5, 2**70 + 1]:
+            for _ in range(200):
+                assert draw_below(ours, k) == ref.randrange(k)
+        assert ours.random() == ref.random()
 
     def test_neighbor_index_draws_as_randrange(self):
         # Seeded outputs rest on neighbor_index(rng, d) == rng.randrange(d) + 1.
