@@ -7,7 +7,6 @@ generators (lb_gen), and a CLI (cli).
 """
 
 from .estimator import (
-    ADVICE_SHRINK_C,
     MAX_RUN_SAMPLES,
     DegreeWeightedSampler,
     EstimateReport,
@@ -46,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABSENT",
-    "ADVICE_SHRINK_C",
     "BORDERLINE",
     "BudgetExhausted",
     "DegreeWeightedSampler",

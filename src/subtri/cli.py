@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .estimator import EstimatorParams, estimate
+from .estimator import estimate
 from .exact import count_ordered
 from .graph_store import GraphFormatError, load_edge_list, write_edge_list
 from .lb_gen import (
@@ -48,12 +48,6 @@ def _takes_shuffle(family: str) -> bool:
     return family != "clique"
 
 
-PROFILES = {
-    "theoretical": EstimatorParams.theoretical,
-    "practical": EstimatorParams.practical,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="subtri",
@@ -65,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", required=True, help="edge-list file")
     est.add_argument("--epsilon", type=float, default=0.5, help="target relative accuracy (clamped to 0.5)")
     est.add_argument("--seed", type=int, default=0)
-    est.add_argument("--profile", choices=sorted(PROFILES), default="practical")
     est.add_argument("--budget", type=int, default=None, help="override the query budget cap")
     est.add_argument("--json", action="store_true", help="emit the full report as JSON")
     est.add_argument("--exact-check", action="store_true", help="also count exactly and report the error")
@@ -94,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run the estimator over a manifest of instances and seeds")
     bench.add_argument("--manifest", required=True, help="JSON array of {path|genspec, seeds}")
     bench.add_argument("--epsilon", type=float, default=0.5)
-    bench.add_argument("--profile", choices=sorted(PROFILES), default="practical")
     bench.add_argument("--budget", type=int, default=None)
     bench.add_argument("--json", action="store_true")
     bench.add_argument("--timing", action="store_true")
@@ -114,9 +106,8 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_estimate(args) -> int:
     graph = load_edge_list(args.input)
     oracle = QueryOracle(graph, seed=args.seed, budget=args.budget)
-    report = estimate(oracle, args.epsilon, PROFILES[args.profile](), seed=args.seed)
+    report = estimate(oracle, args.epsilon, seed=args.seed)
     doc = report.to_json_dict(timing=args.timing)
-    doc["profile"] = args.profile
     if args.exact_check:
         t_true = int(count_ordered(graph).t)
         doc["exact"] = t_true
@@ -131,7 +122,6 @@ def cmd_estimate(args) -> int:
     lines = [
         f"estimate: {doc['estimate']}",
         f"fallback_used: {doc['fallback_used']}",
-        f"profile: {args.profile}",
         f"advice: m_bar={doc['advice']['m_bar']} t_bar={doc['advice']['t_bar']}",
         f"queries: degree={q['degree']} neighbor={q['neighbor']} pair={q['pair']} "
         f"vertex_samples={q['vertex_samples']} total={q['total']}",
@@ -224,7 +214,6 @@ def _bench_rows(args) -> list[dict]:
         manifest = json.load(fh)
     if not isinstance(manifest, list):
         raise ValueError("manifest must be a JSON array")
-    params_factory = PROFILES[args.profile]
     rows = []
     for entry in manifest:
         if not isinstance(entry, dict):
@@ -250,7 +239,7 @@ def _bench_rows(args) -> list[dict]:
             raise ValueError("manifest entry needs 'path' or 'genspec'")
         for seed in seeds:
             oracle = QueryOracle(graph, seed=seed, budget=args.budget)
-            report = estimate(oracle, args.epsilon, params_factory(), seed=seed)
+            report = estimate(oracle, args.epsilon, seed=seed)
             if exact_t > 0:
                 rel_err = abs(report.estimate - exact_t) / exact_t
             else:

@@ -24,9 +24,9 @@ from .exact import count_ordered
 from .heavy import HEAVY, LIGHT, HeavyParams, ceil_div_by_sqrt, classify_heavy, closing_probes, lower_median
 from .query_oracle import BudgetExhausted, QueryOracle, draw_below
 
-# The theoretical profile shrinks eps for advice runs by 3 times this
-# constant, matching the accuracy the heavy-verdict analysis charges for.
-ADVICE_SHRINK_C = 2000.0
+# Advice runs per t_bar level in estimate's search; a level accepts when the
+# minimum over its runs clears it.
+RUNS_PER_LEVEL = 2
 
 # Feige stage sizing: each of ceil(10 ln n) invocations averages
 # ceil(FEIGE_C * sqrt(n) / FEIGE_EPS) sampled degrees.
@@ -39,9 +39,9 @@ _MASK = (1 << 63) - 1
 
 # Hard ceiling on a single run's s1 or s2. Beyond this the sample arrays do
 # not fit in reasonable memory and the loop would run for hours, so the run
-# is refused instead of started. The theoretical profile's eps shrink puts
-# every full-analysis search over this line; estimate() degrades such runs
-# to the exact fallback.
+# is refused instead of started. estimate() degrades such runs to the exact
+# fallback; its search reaches this line at small eps (1e-5) and, at eps 0.5,
+# at t_bar = 1 once n >= 2e5.
 MAX_RUN_SAMPLES = 20_000_000
 
 
@@ -51,25 +51,20 @@ class RunSizeExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimatorParams:
-    """Effort knobs for the estimator; the defaults are the theoretical profile.
+    """Effort knobs for an advice run; the defaults are the theoretical profile.
 
-    s2_scale:          multiplier on an advice run's s2 edge samples.
-    heavy_params:      the classifier's effort (HeavyParams).
-    min_runs:          advice runs per t_bar level; None means
-                       ceil(ln ln n / eps).
-    shrink_advice_eps: whether estimate() shrinks eps for advice runs by
-                       3 * ADVICE_SHRINK_C, as the analysis charges for.
+    s2_scale:     multiplier on an advice run's s2 edge samples.
+    heavy_params: the classifier's effort (HeavyParams).
 
-    The theoretical profile keeps every constant from the analysis (and is
-    impractically slow outside tiny instances). The practical profile scales
-    the sampling efforts down and skips the eps-shrink; it no longer carries
-    the worst-case guarantee.
+    The theoretical profile keeps every constant from the analysis and is
+    impractically slow outside tiny instances; estimate_with_advice's
+    statistical checks use it. The practical profile, which estimate runs,
+    scales the sampling efforts down; it no longer carries the worst-case
+    guarantee.
     """
 
     s2_scale: float = 1.0
     heavy_params: HeavyParams = field(default_factory=HeavyParams)
-    min_runs: int | None = None
-    shrink_advice_eps: bool = True
 
     @classmethod
     def theoretical(cls) -> "EstimatorParams":
@@ -80,15 +75,7 @@ class EstimatorParams:
         return cls(
             s2_scale=1.0 / 100.0,
             heavy_params=HeavyParams.practical(),
-            min_runs=2,
-            shrink_advice_eps=False,
         )
-
-    def resolve_runs(self, n: int, eps: float) -> int:
-        if self.min_runs is not None:
-            return self.min_runs
-        loglog = math.log(max(math.log(max(n, 3)), math.e))
-        return max(1, math.ceil(loglog / eps))
 
 
 class DegreeWeightedSampler:
@@ -152,8 +139,7 @@ def estimate_with_advice(
     most once, with coins seeded per vertex, and its verdict is kept in
     verdict_cache (vertex -> verdict; a new dict when none is passed). A cache
     shared between runs realizes fixed coins across the sharing runs.
-    params defaults to the practical profile. Only its s2_scale and
-    heavy_params act here; min_runs and shrink_advice_eps act in estimate.
+    params defaults to the practical profile.
     """
     if params is None:
         params = EstimatorParams.practical()
@@ -259,6 +245,18 @@ class EstimateReport:
         }
 
 
+def _search_levels(n: int):
+    """Yield (round, level, t_bar) in the doubly geometric search's order.
+
+    Round r descends t_bar = n^3 / 2^level for level 0..r, down to the
+    floor n^3 / 2^r; rounds go on while that floor is at least 1.
+    """
+    top = float(n) ** 3
+    for round_idx in range(int(top).bit_length()):
+        for level in range(round_idx + 1):
+            yield round_idx, level, top / 2.0**level
+
+
 def estimate(
     oracle: QueryOracle,
     eps: float = 0.5,
@@ -271,10 +269,11 @@ def estimate(
     the caller installed one, a query budget of ceil(2 * m_bar); (2) a doubly
     geometric search descends candidate t_bar levels from n^3, re-descending
     from the top as the floor halves, and accepts the first level where the
-    minimum over repeated advice runs clears the level; (3) if the budget
-    trips, a run would blow past MAX_RUN_SAMPLES, or the floor reaches 1
-    without acceptance, the exact count is taken by reading the graph
-    directly (off-oracle), and the report says so.
+    minimum over RUNS_PER_LEVEL advice runs clears the level; (3) if the
+    budget trips, a run would blow past MAX_RUN_SAMPLES, or the floor reaches
+    1 without acceptance, the exact count is taken by reading the graph
+    directly (off-oracle), and the report says so. params defaults to the
+    practical profile.
     """
     t_start = time.perf_counter()
     if params is None:
@@ -282,7 +281,6 @@ def estimate(
     if not eps > 0:  # also rejects NaN
         raise ValueError("eps must be positive")
     eps_eff = min(eps, 0.5)
-    eps_run = eps_eff / (3.0 * ADVICE_SHRINK_C) if params.shrink_advice_eps else eps_eff
     n = oracle.n
     if n == 0:
         return EstimateReport(
@@ -300,54 +298,33 @@ def estimate(
     if oracle.budget_cap is None:
         oracle.set_budget(math.ceil(2.0 * m_bar))
 
-    runs_per = params.resolve_runs(n, eps_eff)
     runs = 0
     accepted_level: float | None = None
-    x_final: float | None = None
-    fallback = False
-
-    def search() -> tuple[float, float] | None:
-        nonlocal runs
-        t_tilde = float(n) ** 3
-        round_idx = 0
-        while t_tilde >= 1.0:
-            t_bar = float(n) ** 3
-            level = 0
-            while t_bar >= t_tilde:
+    if m_bar > 0:
+        try:
+            for round_idx, level, t_bar in _search_levels(n):
                 cache: dict[int, str] = {}
                 xs = []
-                for run_i in range(runs_per):
+                for run_i in range(RUNS_PER_LEVEL):
                     run_ss = np.random.SeedSequence(
                         entropy=loop_entropy, spawn_key=(round_idx, level, run_i)
                     )
                     xs.append(
                         estimate_with_advice(
-                            oracle, m_bar, t_bar, eps_run, params,
+                            oracle, m_bar, t_bar, eps_eff, params,
                             seed=run_ss, verdict_cache=cache,
                         )
                     )
                     runs += 1
-                x_min = min(xs)
-                if x_min >= t_bar:
-                    return x_min, t_bar
-                t_bar /= 2.0
-                level += 1
-            t_tilde /= 2.0
-            round_idx += 1
-        return None
-
-    if m_bar > 0:
-        try:
-            found = search()
+                x_final = min(xs)
+                if x_final >= t_bar:
+                    accepted_level = t_bar
+                    break
         except (BudgetExhausted, RunSizeExceeded):
-            found = None
-            fallback = True
-        if found is not None:
-            x_final, accepted_level = found
-    if x_final is None:
-        # Either the search exhausted every level or the budget tripped;
-        # both end with an exact read of the graph.
-        fallback = True
+            pass
+    if accepted_level is None:
+        # The search exhausted every level, the budget tripped or a run was
+        # refused; each ends with an exact read of the graph.
         x_final = float(count_ordered(oracle.graph).t)
 
     wall_ms = (time.perf_counter() - t_start) * 1000.0
@@ -359,6 +336,6 @@ def estimate(
         queries=oracle.stats.to_dict(),
         runs=runs,
         seed=seed,
-        fallback_used=fallback,
+        fallback_used=accepted_level is None,
         wall_ms=wall_ms,
     )

@@ -115,17 +115,14 @@ class TestEstimate:
         assert "queries: degree=" in out
         assert "wall_ms" not in out
 
-    def test_profile_is_echoed(self, tmp_path, capsys):
-        code = main(
-            [
-                "estimate",
-                "--input", k4_path(tmp_path),
-                "--profile", "theoretical",
-                "--json", "--seed", "0",
-            ]
-        )
+    def test_refused_run_falls_back_to_exact(self, tmp_path, capsys):
+        # eps=1e-5 puts the first advice run over MAX_RUN_SAMPLES.
+        code = main(["estimate", "--input", k4_path(tmp_path), "--epsilon", "1e-5"])
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["profile"] == "theoretical"
+        lines = capsys.readouterr().out.splitlines()
+        assert "estimate: 4.0" in lines
+        assert "fallback_used: True" in lines
+        assert "runs: 0" in lines
 
     def test_nan_epsilon_is_exit_three(self, tmp_path, capsys):
         code = main(["estimate", "--input", k4_path(tmp_path), "--epsilon", "nan"])
@@ -323,3 +320,9 @@ class TestUsage:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["transmogrify"]) == 2
+
+    def test_profile_flag_is_a_usage_error(self, tmp_path, capsys):
+        path = k4_path(tmp_path)
+        assert main(["estimate", "--input", path, "--profile", "practical"]) == 2
+        assert main(["bench", "--manifest", path, "--profile", "practical"]) == 2
+        assert capsys.readouterr().err.count("unrecognized arguments: --profile") == 2

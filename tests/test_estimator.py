@@ -268,14 +268,16 @@ class TestEstimateEndToEnd:
         assert report.fallback_used is True
         assert report.estimate == float(res.exact_t)
 
-    def test_theoretical_profile_degrades_to_exact_fallback(self):
-        # The analysis-faithful eps shrink asks for ~1e13 samples per run,
-        # which the run-size guard refuses; the search must then answer
-        # with the exact count instead of crashing.
+    def test_refused_run_degrades_to_exact_fallback(self):
+        # eps=1e-5 asks the first run for more than MAX_RUN_SAMPLES samples,
+        # which the run-size guard refuses before any charge; the search
+        # must then answer with the exact count instead of crashing.
         o = fresh_oracle(complete_graph(4), seed=0)
-        report = estimate(o, 0.5, EstimatorParams.theoretical(), seed=0)
-        assert report.fallback_used is True
+        report = estimate(o, 1e-5, EstimatorParams.practical(), seed=0)
         assert report.estimate == 4.0
+        assert report.fallback_used is True
+        assert report.runs == 0
+        assert report.queries["neighbor"] + report.queries["pair"] == 0
 
     def test_advice_run_count_stays_polylog(self):
         for graph in (bowtie_graph(), gnp_graph(50, 0.2, seed=1)):

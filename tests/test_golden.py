@@ -333,8 +333,8 @@ GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
  ('gnp', 10, 6000.0, 30000.0, 6): {'verdict': 'light',
                                    'medians': [908.9, 518.5, 186.05],
                                    'queries_used': 174}}
-GOLDEN_CLI = {'estimate-json': 'ebff2d0f74940c539cb02e886eaf79613b05655dcaa755c925648820af741d94',
- 'estimate-plain': '70c0ed9a5663aa18a390690286d3fb271299a19321ec280ea04d6a29711ade3f',
+GOLDEN_CLI = {'estimate-json': '8c076378612f85ef7a675316485b2a0cd08cf6fd7e9f60136168f0a36fe3d8f1',
+ 'estimate-plain': 'f6ff90b6ebfe2d4c08d408dea39ad0f12aaa88f5c22e2c0c8c796cb68898634d',
  'bench-csv': '64122b15a00efda70a7d05c7ffd1dfeb9af8ba9ce5081e541a8485ae967efc44'}
 
 
