@@ -22,7 +22,7 @@ import numpy as np
 
 from .exact import count_ordered
 from .heavy import HEAVY, LIGHT, HeavyParams, ceil_div_by_sqrt, classify_heavy, closing_probes, lower_median
-from .query_oracle import BudgetExhausted, QueryOracle, draw_below
+from .query_oracle import BudgetExhausted, QueryOracle, draw_below, neighbor_index
 
 # Advice runs per t_bar level in estimate's search; a level accepts when the
 # minimum over its runs clears it.
@@ -174,12 +174,14 @@ def estimate_with_advice(
         return val
 
     q_degree = oracle.q_degree
-    q_edge = oracle.q_random_edge_at
+    q_neighbor = oracle.q_neighbor
     y_sum = 0.0
     for _ in range(s2):
+        # The draws and charges of q_random_edge_at(v, rng), with d_v read
+        # once; v was drawn by degree, so d_v > 0.
         v = sampler.draw(rng)
-        _, x = q_edge(v, rng)
         d_v = q_degree(v)
+        x = q_neighbor(v, neighbor_index(rng, d_v))
         d_x = q_degree(x)
         d_u = min(d_v, d_x)
         if d_u * d_u <= m_bar and rng.random() >= d_u / sqrt_m:

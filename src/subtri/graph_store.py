@@ -8,8 +8,8 @@ neighbor queries are well defined and reproducible.
 
 from __future__ import annotations
 
+import codecs
 import math
-from array import array
 from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -78,23 +78,28 @@ class Graph:
             raise ValueError("edges must be (u, v) pairs")
         if m and arr.dtype.kind not in "iu":
             raise ValueError(f"vertex ids must be integers, got {arr.dtype}")
-        # Slot 2k holds u_k and slot 2k+1 holds v_k. A stable sort by endpoint
-        # lists each vertex's incidences in edge order, and the partner of
-        # slot j is slot j ^ 1.
         flat = arr.astype(np.int64, copy=False).ravel()
-        order = np.argsort(flat, kind="stable")
-        sources = flat[order]
-        targets = flat[order ^ 1]
-        sorted_targets = targets[np.lexsort((targets, sources))]
-        # The sorted sources hold the smallest and largest id at their ends.
-        # A repeated edge or a self loop lists one neighbor twice in a row.
-        repeats = (sorted_targets[1:] == sorted_targets[:-1]) & (sources[1:] == sources[:-1])
-        if m and (sources[0] < 0 or sources[-1] >= n or repeats.any()):
+        if m and (flat.min() < 0 or flat.max() >= n):
             k, reason = _first_bad_edge(n, flat)
             raise ValueError(f"edge {k}: {reason}")
         degrees = np.bincount(flat, minlength=n).astype(np.int64)
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=offsets[1:])
+        # Slot 2k holds u_k and slot 2k+1 holds v_k. A stable sort by endpoint
+        # lists each vertex's incidences in edge order, and the partner of
+        # slot j is slot j ^ 1.
+        targets = flat[_radix_argsort(flat, n) ^ 1]
+        # The rows, each sorted, by one sort of source * n + target keys. Keys
+        # stay below n * n, within int64 for n < 3.04e9, the bound that
+        # _check_invariants' (degree, id) key already rests on. A repeated
+        # edge or a self loop repeats a key.
+        row_base = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
+        sorted_targets = row_base + targets
+        sorted_targets.sort()
+        if (sorted_targets[1:] == sorted_targets[:-1]).any():
+            k, reason = _first_bad_edge(n, flat)
+            raise ValueError(f"edge {k}: {reason}")
+        sorted_targets -= row_base
         g = cls(n, m, degrees, offsets, targets, sorted_targets)
         g._check_invariants()
         return g
@@ -150,6 +155,23 @@ class Graph:
                     yield v, int(w)
 
 
+def _radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for int64 keys in [0, bound).
+
+    LSD radix passes over 16-bit digits, low digit first. Each pass is a
+    stable argsort of a uint16 array, which numpy runs as a linear-time radix
+    sort; a stable argsort of the int64 keys is a comparison sort, about five
+    times slower on 1e7 keys.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while bound > 1 << shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def _first_bad_edge(n: int, flat: np.ndarray) -> tuple[int, str]:
     """Index and reason of the first pair (flat holds them end to end) with a
     negative id, an id of n or more, equal ends, or an earlier pair's ends."""
@@ -166,67 +188,220 @@ def _first_bad_edge(n: int, flat: np.ndarray) -> tuple[int, str]:
     return k, f"duplicate edge ({lo[k]}, {hi[k]})"
 
 
+# Text mode reads and decodes a file in blocks of this many bytes. The loader
+# decodes the same blocks, so a UnicodeDecodeError reads as text mode's.
+_TEXT_BLOCK = 8192
+
+# Bytes of edge-list text tokenized at a time, a whole number of text blocks.
+# Chunks end at a line break, so no line is split between two chunks.
+_CHUNK_BYTES = 32 * _TEXT_BLOCK
+
+# The most digits a token on the vectorized path may have: 10**18 - 1 is
+# below 2**63, so such a token converts to int64 without overflow.
+_MAX_DIGITS = 18
+
+_INT64 = range(-(2**63), 2**63)
+
+
 def load_edge_list(source: str | Path | Iterable[str]) -> Graph:
-    """Parse an edge-list file into a Graph.
+    """Parse an edge-list file, or an iterable of its lines, into a Graph.
 
     Format: whitespace-separated "u v" pairs, one per line. Lines starting
     with '#' and blank lines are skipped. The first data line may be a header
     "n <count>" declaring the vertex count (needed when trailing vertices are
     isolated). Errors name the earliest faulty line (1-based), or else a header
-    smaller than the largest id.
+    smaller than the largest id. A file is read as UTF-8 with the line breaks
+    of text mode (\\n, \\r\\n, \\r); element i of an iterable is line i + 1.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _parse_lines(fh)
-    return _parse_lines(source)
+        with open(source, "rb") as fh:
+            return _parse_chunks(_file_chunks(fh))
+    return _parse_chunks(_line_chunks(source))
 
 
-def _parse_lines(lines: Iterable[str]) -> Graph:
+def _file_chunks(fh) -> Iterator[tuple[bytes, np.ndarray]]:
+    """(text, bounds) chunks of a binary file: line i of a chunk is
+    text[bounds[i]:bounds[i + 1]], its line break included."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    carry = b""
+    while True:
+        block = fh.read(_CHUNK_BYTES)
+        # Text mode's UnicodeDecodeError, if any. It is raised before the
+        # block's lines are tokenized, so it wins over a format error on an
+        # earlier line, where text mode might have reached that line first.
+        for i in range(0, len(block), _TEXT_BLOCK):
+            decoder.decode(block[i : i + _TEXT_BLOCK])
+        if not block:
+            decoder.decode(b"", final=True)
+        data = carry + block
+        if not data:
+            return
+        arr = np.frombuffer(data, dtype=np.uint8)
+        cr, lf = arr == ord("\r"), arr == ord("\n")
+        breaks = cr | lf
+        breaks[:-1] &= ~(cr[:-1] & lf[1:])
+        if not block:
+            breaks[-1] = True  # the file's end ends its last line
+        elif cr[-1]:
+            breaks[-1] = False  # it may pair with a \n in the next block
+        ends = np.flatnonzero(breaks) + 1
+        if not len(ends):
+            carry = data
+            continue
+        cut = int(ends[-1])
+        yield data[:cut], np.concatenate(([0], ends))
+        carry = data[cut:]
+
+
+def _line_chunks(lines: Iterable[str]) -> Iterator[tuple[bytes, np.ndarray]]:
+    """_file_chunks for an iterable of lines: each element is encoded (lone
+    surrogates kept) and given a trailing \\n, which str.split ignores."""
+    batch, size = [], 0
+    for line in lines:
+        raw = line.encode("utf-8", "surrogatepass")
+        batch.append(raw)
+        size += len(raw) + 1
+        if size >= _CHUNK_BYTES:
+            yield _joined(batch)
+            batch, size = [], 0
+    if batch:
+        yield _joined(batch)
+
+
+def _joined(batch: list[bytes]) -> tuple[bytes, np.ndarray]:
+    bounds = np.zeros(len(batch) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, batch), dtype=np.int64, count=len(batch)) + 1, out=bounds[1:])
+    return b"\n".join(batch) + b"\n", bounds
+
+
+def _parse_chunks(chunks: Iterable[tuple[bytes, np.ndarray]]) -> Graph:
     # Tokenize only. Graph.from_edges checks the pairs read before the first
     # line that does not tokenize, and line_nos maps a pair it rejects back.
-    pairs = array("q")
-    line_nos = array("q")
-    declared_n = None
-    error = None
-    try:
-        for line_no, raw in enumerate(lines, start=1):
-            parts = raw.split()
-            if not parts or parts[0][0] == "#":
-                continue
-            if parts[0] == "n" and declared_n is None and not line_nos:
-                if len(parts) != 2:
-                    raise GraphFormatError(line_no, "header must be 'n <count>'")
-                try:
-                    declared_n = int(parts[1])
-                except ValueError:
-                    raise GraphFormatError(line_no, f"bad vertex count {parts[1]!r}")
-                if declared_n < 0:
-                    raise GraphFormatError(line_no, "vertex count must be nonnegative")
-                header_line = line_no
-                continue
-            if len(parts) != 2:
-                raise GraphFormatError(line_no, f"expected 'u v', got {raw.strip()!r}")
-            try:
-                pairs.extend((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise GraphFormatError(line_no, f"non-integer vertex id in {raw.strip()!r}")
-            except OverflowError:
-                raise GraphFormatError(line_no, f"vertex id outside the int64 range in {raw.strip()!r}")
-            line_nos.append(line_no)
-    except GraphFormatError as exc:
-        error = exc
-    flat = np.frombuffer(pairs, dtype=np.int64, count=2 * len(line_nos))
+    flat, line_nos, declared_n, header_line, error = _tokenize(chunks)
     n = max(int(flat.max(initial=-1)) + 1, declared_n or 0)
     try:
         graph = Graph.from_edges(n, flat.reshape(-1, 2))
     except ValueError:
         k, reason = _first_bad_edge(n, flat)
-        raise GraphFormatError(line_nos[k], reason) from None
+        raise GraphFormatError(int(line_nos[k]), reason) from None
     if error is not None:
         raise error
     if declared_n is not None and declared_n < n:
         raise GraphFormatError(header_line, f"header n={declared_n} smaller than max id {n - 1}")
     return graph
+
+
+def _tokenize(chunks: Iterable[tuple[bytes, np.ndarray]]):
+    """Pairs end to end, their line numbers, the header's count and line (or
+    None), and the first line's GraphFormatError (or None); reading stops at
+    that line."""
+    pair_parts = [np.zeros(0, dtype=np.int64)]
+    line_parts = [np.zeros(0, dtype=np.int64)]
+    pairs_read = 0
+    declared_n = header_line = error = None
+    first_line = 1
+    for text, bounds in chunks:
+        arr = np.frombuffer(text, dtype=np.uint8)
+        rows, vals, irregular = _tokenize_regular(arr, bounds)
+        # Lines the vectorized rule leaves open go through _parse_line, in
+        # line order, since a header counts only before the first pair.
+        extra_rows, extra_vals = [], []
+        for i in irregular.tolist():
+            line_no = first_line + i
+            header_ok = declared_n is None and not (pairs_read or extra_rows or (len(rows) and rows[0] < i))
+            raw = text[bounds[i] : bounds[i + 1]].decode("utf-8", "surrogatepass")
+            try:
+                got = _parse_line(line_no, raw, header_ok)
+            except GraphFormatError as exc:
+                error = exc
+                keep = int(np.searchsorted(rows, i))
+                rows, vals = rows[:keep], vals[: 2 * keep]
+                break
+            if type(got) is tuple:
+                extra_rows.append(i)
+                extra_vals.extend(got)
+            elif got is not None:
+                declared_n, header_line = got, line_no
+        if extra_rows:
+            rows = np.concatenate((rows, extra_rows))
+            order = np.argsort(rows, kind="stable")
+            rows = rows[order]
+            vals = np.concatenate((vals, extra_vals)).reshape(-1, 2)[order].ravel()
+        pair_parts.append(vals)
+        line_parts.append(rows + first_line)
+        pairs_read += len(rows)
+        if error is not None:
+            break
+        first_line += len(bounds) - 1
+    return np.concatenate(pair_parts), np.concatenate(line_parts), declared_n, header_line, error
+
+
+def _tokenize_regular(arr: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tokenize a chunk's regular lines at once.
+
+    A line is regular when it has exactly two tokens, each of at most
+    _MAX_DIGITS ASCII digits, between ASCII whitespace (space, \\t, \\n,
+    \\v, \\f, \\r); str.split and int read such a line the same way.
+    Returns the regular lines' indices, their pairs end to end as int64, and
+    the indices of the lines that are neither regular nor skipped (blank, or
+    a first token starting with '#').
+    """
+    space = (arr == ord(" ")) | ((arr >= ord("\t")) & (arr <= ord("\r")))
+    step = np.diff((~space).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts = np.flatnonzero(step == 1)
+    ends = np.flatnonzero(step == -1)
+    # Each line ends in whitespace or at the chunk's end, so no token
+    # crosses a line bound; counts before each bound give per-line counts.
+    before = np.searchsorted(starts, bounds)
+    first_tok, n_tok = before[:-1], np.diff(before)
+    odd = np.flatnonzero(~space & ((arr < ord("0")) | (arr > ord("9"))))
+    has_odd = np.diff(np.searchsorted(odd, bounds)) > 0
+    has_long = np.diff(np.searchsorted(starts[ends - starts > _MAX_DIGITS], bounds)) > 0
+    rows = np.flatnonzero((n_tok == 2) & ~has_odd & ~has_long)
+    tok = (first_tok[rows, None] + np.arange(2)).ravel()
+    vals = _digit_values(arr, starts[tok], ends[tok])
+    open_rows = np.flatnonzero((n_tok != 0) & ((n_tok != 2) | has_odd | has_long))
+    irregular = open_rows[arr[starts[first_tok[open_rows]]] != ord("#")]
+    return rows, vals, irregular
+
+
+def _digit_values(arr: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """int64 values of the ASCII digit runs arr[starts[i]:ends[i]], one digit
+    place per step from the widest run's leading place."""
+    vals = np.zeros(len(starts), dtype=np.int64)
+    for place in range(int((ends - starts).max(initial=0)), 0, -1):
+        pos = ends - place
+        digit = arr[np.maximum(pos, 0)] - ord("0")
+        vals *= 10
+        vals += np.where(pos >= starts, digit, 0)
+    return vals
+
+
+def _parse_line(line_no: int, raw: str, header_ok: bool) -> tuple[int, int] | int | None:
+    """One line by the per-line rule: None to skip it, the count of an
+    "n <count>" header (read only when header_ok), or a (u, v) pair."""
+    parts = raw.split()
+    if not parts or parts[0][0] == "#":
+        return None
+    if parts[0] == "n" and header_ok:
+        if len(parts) != 2:
+            raise GraphFormatError(line_no, "header must be 'n <count>'")
+        try:
+            count = int(parts[1])
+        except ValueError:
+            raise GraphFormatError(line_no, f"bad vertex count {parts[1]!r}")
+        if count < 0:
+            raise GraphFormatError(line_no, "vertex count must be nonnegative")
+        return count
+    if len(parts) != 2:
+        raise GraphFormatError(line_no, f"expected 'u v', got {raw.strip()!r}")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphFormatError(line_no, f"non-integer vertex id in {raw.strip()!r}")
+    if u not in _INT64 or v not in _INT64:
+        raise GraphFormatError(line_no, f"vertex id outside the int64 range in {raw.strip()!r}")
+    return u, v
 
 
 def write_edge_list(graph: Graph, path: str | Path) -> None:

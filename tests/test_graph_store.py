@@ -5,13 +5,18 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
+from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subtri import Graph, GraphFormatError, load_edge_list, write_edge_list
+from subtri import Graph, GraphFormatError, graph_store, load_edge_list, write_edge_list
 from util import gnp_edges, gnp_graph
 
 
@@ -236,6 +241,7 @@ MALFORMED = [
     (["n 4", "# c", "2 3", "", "3 2"], 5, "duplicate edge (2, 3)"),
     (["n 3", "0 1", "1 2 3"], 3, "expected 'u v', got '1 2 3'"),
     (["n 1", "0 1", "x"], 3, "expected 'u v', got 'x'"),
+    (["0 1", "2 \udcff"], 2, "non-integer vertex id in '2 \\udcff'"),
 ]
 
 
@@ -337,3 +343,211 @@ class TestRoundTrip:
         a = gnp_edges(30, 0.2, seed=4)
         b = gnp_edges(30, 0.2, seed=4)
         assert np.array_equal(a, b)
+
+
+def reference_load(source):
+    """The per-line loader that load_edge_list's chunked tokenizer replaced:
+    text-mode lines, str.split and int, one line at a time."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            return _reference_parse(fh)
+    return _reference_parse(source)
+
+
+def _reference_parse(lines):
+    pairs = array("q")
+    line_nos = array("q")
+    declared_n = None
+    error = None
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            parts = raw.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            if parts[0] == "n" and declared_n is None and not line_nos:
+                if len(parts) != 2:
+                    raise GraphFormatError(line_no, "header must be 'n <count>'")
+                try:
+                    declared_n = int(parts[1])
+                except ValueError:
+                    raise GraphFormatError(line_no, f"bad vertex count {parts[1]!r}")
+                if declared_n < 0:
+                    raise GraphFormatError(line_no, "vertex count must be nonnegative")
+                header_line = line_no
+                continue
+            if len(parts) != 2:
+                raise GraphFormatError(line_no, f"expected 'u v', got {raw.strip()!r}")
+            try:
+                pairs.extend((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise GraphFormatError(line_no, f"non-integer vertex id in {raw.strip()!r}")
+            except OverflowError:
+                raise GraphFormatError(line_no, f"vertex id outside the int64 range in {raw.strip()!r}")
+            line_nos.append(line_no)
+    except GraphFormatError as exc:
+        error = exc
+    flat = np.frombuffer(pairs, dtype=np.int64, count=2 * len(line_nos))
+    n = max(int(flat.max(initial=-1)) + 1, declared_n or 0)
+    try:
+        graph = Graph.from_edges(n, flat.reshape(-1, 2))
+    except ValueError:
+        k, reason = graph_store._first_bad_edge(n, flat)
+        raise GraphFormatError(line_nos[k], reason) from None
+    if error is not None:
+        raise error
+    if declared_n is not None and declared_n < n:
+        raise GraphFormatError(header_line, f"header n={declared_n} smaller than max id {n - 1}")
+    return graph
+
+
+def reference_csr(n, edges):
+    """The CSR build that from_edges' radix passes replaced: one stable
+    comparison argsort and a lexsort for the sorted rows."""
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    m = len(arr)
+    flat = arr.ravel()
+    order = np.argsort(flat, kind="stable")
+    sources = flat[order]
+    targets = flat[order ^ 1]
+    sorted_targets = targets[np.lexsort((targets, sources))]
+    repeats = (sorted_targets[1:] == sorted_targets[:-1]) & (sources[1:] == sources[:-1])
+    if m and (sources[0] < 0 or sources[-1] >= n or repeats.any()):
+        k, reason = graph_store._first_bad_edge(n, flat)
+        raise ValueError(f"edge {k}: {reason}")
+    degrees = np.bincount(flat, minlength=n).astype(np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    return n, m, degrees, offsets, targets, sorted_targets
+
+
+def csr_of(graph):
+    return graph.n, graph.m, graph.degrees, graph.offsets, graph.targets, graph._sorted_targets
+
+
+def outcome(build, *args):
+    """What a build gives: its CSR arrays as lists, or its error's type,
+    text and line number."""
+    try:
+        result = build(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line_no", None)
+    if isinstance(result, Graph):
+        result = csr_of(result)
+    return tuple(x.tolist() if isinstance(x, np.ndarray) else x for x in result)
+
+
+# Whitespace that str.split splits on: ASCII (vectorized path), and \x1c and
+# Unicode spaces (per-line rule). A \r or \n inside a file line breaks it.
+SEPARATORS = [" ", " ", "  ", "\t", "\x0b", "\x0c", "\r", "\n", "\x1c", "\xa0", "\u3000"]
+
+
+def spell(v: int, style: str) -> str:
+    """An id as int() reads it: plain, zero-padded to 18 (still vectorized)
+    or 19-20 digits, signed, with an underscore, or in non-ASCII digits."""
+    digits = str(v)
+    if style.isdigit():
+        return digits.zfill(int(style))
+    if style == "+":
+        return "+" + digits
+    if style == "_":
+        return digits[0] + "_" + digits[1:] if len(digits) > 1 else "0_" + digits
+    if style == "arabic-indic":
+        return "".join(chr(0x660 + int(d)) for d in digits)
+    if style == "fullwidth":
+        return "".join(chr(0xFF10 + int(d)) for d in digits)
+    return digits
+
+
+STYLES = ["plain", "plain", "plain", "3", "18", "19", "20", "+", "_", "arabic-indic", "fullwidth"]
+
+# Tokens that make a line malformed, or its pair invalid.
+BAD_TOKENS = [
+    "x", "1.5", "-1", "-0000000000000000001", "#7", "n", "\u00e9", "\udcff", "0x1",
+    str(2**63), str(-(2**63) - 1), "99999999999999999999",
+]
+
+
+@st.composite
+def edge_list_lines(draw):
+    """Lines of an edge list: a simple graph's edges, in varied spellings and
+    whitespace, among comments, blanks and headers, and sometimes a bad line.
+    Valid ids stay below 40, so no input asks for a huge vertex array."""
+    n = draw(st.integers(1, 40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+    lines = []
+    for u, v in edges:
+        toks = [spell(u, draw(st.sampled_from(STYLES))), spell(v, draw(st.sampled_from(STYLES)))]
+        lines.append(toks[::-1] if draw(st.booleans()) else toks)
+    for _ in range(draw(st.integers(0, 4))):
+        extra = draw(st.sampled_from(["header", "comment", "blank", "bad", "edge-again"]))
+        if extra == "header":
+            toks = ["n", str(draw(st.integers(-1, 45)))]
+        elif extra == "comment":
+            toks = ["#" + draw(st.sampled_from(["", "c", "\u00e9", "#", "n"])), "1"]
+        elif extra == "blank":
+            toks = []
+        elif extra == "bad" or not lines:
+            toks = draw(st.lists(st.one_of(st.sampled_from(BAD_TOKENS), st.integers(0, 40).map(str)), max_size=3))
+        else:
+            toks = draw(st.sampled_from(lines))[::-1]
+        lines.insert(draw(st.integers(0, len(lines))), toks)
+    out = []
+    for toks in lines:
+        line = draw(st.sampled_from(["", "", "", " ", "\t", "\x1c"]))
+        for i, tok in enumerate(toks):
+            line += (draw(st.sampled_from(SEPARATORS)) if i else "") + tok
+        out.append(line + draw(st.sampled_from(["", "", " ", "\r", "\xa0"])))
+    return out
+
+
+class TestLoaderMatchesLineLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(lines=edge_list_lines(), chunk=st.integers(1, 64), ending=st.sampled_from(["\n", "\r\n", "\r"]))
+    def test_same_graph_or_same_error(self, lines, chunk, ending):
+        # Chunks of 1-64 bytes: nearly every input spans several.
+        with mock.patch.object(graph_store, "_CHUNK_BYTES", chunk):
+            assert outcome(load_edge_list, lines) == outcome(reference_load, lines)
+            text = ending.join(lines)
+            if "\udcff" in text:
+                return  # not UTF-8; see test_invalid_utf8_fails_as_text_mode
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "g.edges"
+                path.write_bytes(text.encode("utf-8"))
+                assert outcome(load_edge_list, path) == outcome(reference_load, path)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"0 1\n\xff 2\n", b"0 1\nx\n1 2\n# \xc3(\n", b"0 0\n\xed\xb3\xbf 1\n", b"0 1\n1 2 \xe2\x82"],
+    )
+    def test_invalid_utf8_fails_as_text_mode(self, tmp_path, data):
+        # A file smaller than one chunk is decoded whole before any line is
+        # read, as text mode decodes its first 8 KiB block.
+        path = tmp_path / "bad.edges"
+        path.write_bytes(data)
+        assert outcome(load_edge_list, path) == outcome(reference_load, path)
+        assert outcome(load_edge_list, path)[0] == "UnicodeDecodeError"
+
+
+@st.composite
+def csr_cases(draw):
+    """(n, edges) with mostly valid ids, n past 65536 for a second radix pass."""
+    n = draw(st.one_of(st.integers(0, 9), st.integers(65537, 300000)))
+    ids = st.one_of(st.integers(0, max(n - 1, 0)), st.integers(max(n - 3, 0), max(n - 1, 0)), st.integers(-2, n + 2))
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    return n, edges
+
+
+class TestCsrMatchesSortReference:
+    @settings(max_examples=300, deadline=None)
+    @given(case=csr_cases())
+    def test_same_arrays_or_same_error(self, case):
+        n, edges = case
+        assert outcome(Graph.from_edges, n, edges) == outcome(reference_csr, n, edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(keys=st.lists(st.integers(0, 2**62 - 1), max_size=60), bits=st.sampled_from([1, 16, 17, 33, 62]))
+    def test_radix_argsort_is_a_stable_argsort(self, keys, bits):
+        keys = np.asarray(keys, dtype=np.int64) >> (62 - bits)
+        got = graph_store._radix_argsort(keys, 1 << bits)
+        assert got.tolist() == np.argsort(keys, kind="stable").tolist()
