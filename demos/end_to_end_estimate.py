@@ -44,8 +44,9 @@ def main() -> None:
     # sampler; the budget trips and the exact fallback answers.
     run("hidden 10-clique in 4096", gen_clique_family(4096, 1000, seed=0))
 
-    # Triangle-free: every level estimates zero, the search runs out of
-    # levels, and the fallback reports an exact zero.
+    # Triangle-free: every level estimates zero, so no level accepts; the
+    # budget trips partway down the descent and the fallback reports an
+    # exact zero.
     run("bipartite side=32", gen_g1_bipartite(64, 32, seed=0))
 
 

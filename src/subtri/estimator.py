@@ -3,7 +3,7 @@
 estimate_with_advice produces one estimate X given advice (m_bar, t_bar)
 with E[X] <= t always, and E[X] close to t when the advice brackets the
 truth. estimate removes the advice assumption: it pins m_bar with a sampled
-average-degree stage, then runs a doubly geometric search over t_bar,
+average-degree stage, then descends t_bar = n^3, n^3/2, ... once,
 accepting the first level whose (minimum-over-runs) estimate clears the
 level. Budget exhaustion or full descent falls back to an exact count,
 mirroring the abort argument: once a 2*m_bar query budget is spent, reading
@@ -247,18 +247,6 @@ class EstimateReport:
         }
 
 
-def _search_levels(n: int):
-    """Yield (round, level, t_bar) in the doubly geometric search's order.
-
-    Round r descends t_bar = n^3 / 2^level for level 0..r, down to the
-    floor n^3 / 2^r; rounds go on while that floor is at least 1.
-    """
-    top = float(n) ** 3
-    for round_idx in range(int(top).bit_length()):
-        for level in range(round_idx + 1):
-            yield round_idx, level, top / 2.0**level
-
-
 def estimate(
     oracle: QueryOracle,
     eps: float = 0.5,
@@ -268,14 +256,22 @@ def estimate(
     """Estimate the triangle count of the oracle's graph without advice.
 
     Stages: (1) average-degree sampling pins m_bar = n * d_bar / 2 and, unless
-    the caller installed one, a query budget of ceil(2 * m_bar); (2) a doubly
-    geometric search descends candidate t_bar levels from n^3, re-descending
-    from the top as the floor halves, and accepts the first level where the
-    minimum over RUNS_PER_LEVEL advice runs clears the level; (3) if the
-    budget trips, a run would blow past MAX_RUN_SAMPLES, or the floor reaches
-    1 without acceptance, the exact count is taken by reading the graph
-    directly (off-oracle), and the report says so. params defaults to the
-    practical profile.
+    the caller installed one, a query budget of ceil(2 * m_bar); (2) one
+    descent visits t_bar = n^3 / 2^level once for each level, while t_bar >= 1,
+    and accepts the first level where the minimum over RUNS_PER_LEVEL advice
+    runs clears the level; (3) if the budget trips, a run would blow past
+    MAX_RUN_SAMPLES, or the descent ends without acceptance, the exact count
+    is taken by reading the graph directly (off-oracle), and the report says
+    so. params defaults to the practical profile.
+
+    The descent's cost is what it spends down to the first level at or below
+    t, as in the analysis (Eden, Levi, Ron, Seshadhri, FOCS 2015). Each level
+    is visited once: re-descending from n^3 whenever the floor halves, as
+    this code once did, made L(L+1)/2 visits for L levels. A revisit bought
+    little. At a level above t it is one more false-accept draw: E[X] <= t,
+    so by Markov each visit accepts with probability at most t / t_bar. At a
+    level just below t it is a second try at a cheaper level, but only after
+    the whole prefix above it has been paid for again.
     """
     t_start = time.perf_counter()
     if params is None:
@@ -304,13 +300,13 @@ def estimate(
     accepted_level: float | None = None
     if m_bar > 0:
         try:
-            for round_idx, level, t_bar in _search_levels(n):
+            top = float(n) ** 3
+            for level in range(int(top).bit_length()):
+                t_bar = top / 2.0**level
                 cache: dict[int, str] = {}
                 xs = []
                 for run_i in range(RUNS_PER_LEVEL):
-                    run_ss = np.random.SeedSequence(
-                        entropy=loop_entropy, spawn_key=(round_idx, level, run_i)
-                    )
+                    run_ss = np.random.SeedSequence(entropy=loop_entropy, spawn_key=(level, run_i))
                     xs.append(
                         estimate_with_advice(
                             oracle, m_bar, t_bar, eps_eff, params,

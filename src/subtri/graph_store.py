@@ -25,6 +25,10 @@ class GraphFormatError(ValueError):
         self.line_no = line_no
 
 
+# The largest n whose source * n + target row keys fit int64.
+MAX_VERTICES = math.isqrt(2**63 - 1)
+
+
 class Graph:
     """Static simple undirected graph with ordered adjacency.
 
@@ -68,10 +72,13 @@ class Graph:
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
         """Build a graph from (u, v) integer pairs.
 
-        A ValueError names the first pair with a non-integer id, an id outside
-        [0, n), equal ends or an earlier pair's ends, in either orientation.
-        Neighbor lists keep the order in which edges appear.
+        A ValueError names an n over MAX_VERTICES, or else the first pair with
+        a non-integer id, an id outside [0, n), equal ends or an earlier
+        pair's ends, in either orientation. Neighbor lists keep the order in
+        which edges appear.
         """
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} is over {MAX_VERTICES}, the most int64 row keys allow")
         arr = np.asarray(edges)
         m = len(arr)
         if m and arr.shape != (m, 2):
@@ -90,9 +97,9 @@ class Graph:
         # slot j is slot j ^ 1.
         targets = flat[_radix_argsort(flat, n) ^ 1]
         # The rows, each sorted, by one sort of source * n + target keys. Keys
-        # stay below n * n, within int64 for n < 3.04e9, the bound that
-        # _check_invariants' (degree, id) key already rests on. A repeated
-        # edge or a self loop repeats a key.
+        # stay below n * n, within int64 for n <= MAX_VERTICES, the bound that
+        # _check_invariants' (degree, id) key also rests on. A repeated edge
+        # or a self loop repeats a key.
         row_base = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
         sorted_targets = row_base + targets
         sorted_targets.sort()
@@ -172,13 +179,17 @@ def _radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     return order
 
 
-def _first_bad_edge(n: int, flat: np.ndarray) -> tuple[int, str]:
+def _first_bad_edge(n: int, flat: np.ndarray) -> tuple[int, str] | None:
     """Index and reason of the first pair (flat holds them end to end) with a
-    negative id, an id of n or more, equal ends, or an earlier pair's ends."""
+    negative id, an id of n or more, equal ends, or an earlier pair's ends;
+    None when there is no such pair."""
     lo, hi = np.minimum(flat[0::2], flat[1::2]), np.maximum(flat[0::2], flat[1::2])
     _, first = np.unique(np.column_stack((lo, hi)), axis=0, return_index=True)
     repeat = ~np.isin(np.arange(len(lo)), first)
-    k = int(np.argmax((lo < 0) | (hi >= n) | (lo == hi) | repeat))
+    bad = (lo < 0) | (hi >= n) | (lo == hi) | repeat
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
     if lo[k] < 0:
         return k, "negative vertex id"
     if hi[k] >= n:
@@ -281,8 +292,13 @@ def _parse_chunks(chunks: Iterable[tuple[bytes, np.ndarray]]) -> Graph:
     n = max(int(flat.max(initial=-1)) + 1, declared_n or 0)
     try:
         graph = Graph.from_edges(n, flat.reshape(-1, 2))
-    except ValueError:
-        k, reason = _first_bad_edge(n, flat)
+    except ValueError as exc:
+        bad = _first_bad_edge(n, flat)
+        if bad is None:
+            # No pair is at fault, so n is; blame the line that set it.
+            line = header_line if declared_n == n else line_nos[np.argmax(flat) // 2]
+            raise GraphFormatError(int(line), str(exc)) from None
+        k, reason = bad
         raise GraphFormatError(int(line_nos[k]), reason) from None
     if error is not None:
         raise error

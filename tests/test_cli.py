@@ -59,6 +59,12 @@ class TestExact:
         assert main(["exact", "--input", str(bad)]) == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_vertex_count_past_row_keys_is_exit_three(self, tmp_path, capsys):
+        bad = tmp_path / "huge.edges"
+        bad.write_text("0 100000000000000000\n")
+        assert main(["exact", "--input", str(bad)]) == 3
+        assert "line 1: vertex count 100000000000000001 is over" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_triangle_free_reports_zero_through_fallback(self, tmp_path, capsys):

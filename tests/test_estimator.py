@@ -24,6 +24,7 @@ from subtri import (
     gen_g1_bipartite,
     gen_g2_matching,
 )
+from subtri.estimator import RUNS_PER_LEVEL
 from util import bowtie_graph, complete_graph, gnp_graph
 
 
@@ -280,10 +281,25 @@ class TestEstimateEndToEnd:
         assert report.queries["neighbor"] + report.queries["pair"] == 0
 
     def test_advice_run_count_stays_polylog(self):
+        # One descent visits each of the log2(n^3) levels at most once.
         for graph in (bowtie_graph(), gnp_graph(50, 0.2, seed=1)):
             o = fresh_oracle(graph, seed=0)
             report = estimate(o, 0.5, EstimatorParams.practical(), seed=0)
-            assert report.runs <= 4 * (3 * math.log2(graph.n)) ** 2
+            assert report.runs <= RUNS_PER_LEVEL * int(float(graph.n) ** 3).bit_length()
+
+    def test_large_matching_is_estimated_sublinearly(self):
+        # On g2-matching side 256 (m = 65536) the sampler should accept
+        # without the exact fallback, within 50% of t, and charge well under
+        # one read of the graph in the median.
+        charged = []
+        for seed in range(6):
+            res = gen_g2_matching(1024, 256, seed=seed)
+            o = fresh_oracle(res.graph, seed=seed)
+            report = estimate(o, 0.5, EstimatorParams.practical(), seed=seed)
+            assert not report.fallback_used
+            assert 0.5 * res.exact_t < report.estimate < 1.5 * res.exact_t
+            charged.append(o.budget_charged / res.graph.m)
+        assert statistics.median(charged) <= 0.7
 
     def test_hidden_clique_is_recovered_through_fallback(self):
         # A 10-clique hidden among 4096 ids starves the sampler, so the

@@ -180,85 +180,88 @@ def run_exact_cli(tmp_path, capsys) -> dict:
     return digests
 
 
-# Recorded from the revision before the shared probe kernel.
-GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 6657.285748053561,
-                          'queries': {'degree': 256,
-                                      'neighbor': 11853,
-                                      'pair': 3883,
-                                      'vertex_samples': 48656,
-                                      'total': 15992},
-                          'runs': 182,
-                          't_bar': 4096.0,
-                          'fallback_used': False},
- ('skewed', None, 0): {'estimate': 38139.779633143466,
-                       'queries': {'degree': 2000,
-                                   'neighbor': 15144,
-                                   'pair': 6417,
-                                   'vertex_samples': 256493,
-                                   'total': 23561},
-                       'runs': 380,
-                       't_bar': 30517.578125,
-                       'fallback_used': False},
- ('k40', None, 0): {'estimate': 16900.0,
-                    'queries': {'degree': 40,
-                                'neighbor': 1128,
-                                'pair': 343,
-                                'vertex_samples': 5207,
-                                'total': 1511},
-                    'runs': 12,
-                    't_bar': 16000.0,
-                    'fallback_used': False},
- ('gnp', None, 1): {'estimate': 45422.97672194049,
-                    'queries': {'degree': 200,
-                                'neighbor': 6552,
-                                'pair': 3840,
-                                'vertex_samples': 24233,
-                                'total': 10592},
-                    'runs': 90,
-                    't_bar': 31250.0,
-                    'fallback_used': False},
- ('clique-n3000', None, 1): {'estimate': 120.0,
-                             'queries': {'degree': 3000,
-                                         'neighbor': 61,
-                                         'pair': 13,
-                                         'vertex_samples': 106481,
-                                         'total': 3074},
-                             'runs': 108,
-                             't_bar': None,
-                             'fallback_used': True},
- ('bipartite-side6', None, 0): {'estimate': 0.0,
-                                'queries': {'degree': 12,
-                                            'neighbor': 57,
-                                            'pair': 15,
-                                            'vertex_samples': 4144,
-                                            'total': 84},
-                                'runs': 54,
-                                't_bar': None,
-                                'fallback_used': True},
- ('bipartite-side6', 1000000, 0): {'estimate': 0.0,
-                                   'queries': {'degree': 12, 'neighbor': 72, 'pair': 15,
-                                               'vertex_samples': 10772, 'total': 99},
-                                   'runs': 132,
-                                   't_bar': None,
-                                   'fallback_used': True},
- ('skewed', 3000, 3): {'estimate': 33741.0,
-                       'queries': {'degree': 2000,
-                                   'neighbor': 2137,
-                                   'pair': 863,
-                                   'vertex_samples': 150569,
-                                   'total': 5000},
-                       'runs': 267,
-                       't_bar': None,
-                       'fallback_used': True},
- ('gnp', 40, 1): {'estimate': 36421.0,
-                  'queries': {'degree': 200,
-                              'neighbor': 28,
-                              'pair': 12,
-                              'vertex_samples': 15733,
-                              'total': 240},
-                  'runs': 12,
-                  't_bar': None,
-                  'fallback_used': True}}
+# Recorded from the single-descent t_bar search.
+GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 6379.898841884663,
+                                            'queries': {'degree': 256,
+                                                        'neighbor': 7889,
+                                                        'pair': 3073,
+                                                        'vertex_samples': 25288,
+                                                        'total': 11218},
+                                            'runs': 26,
+                                            't_bar': 4096.0,
+                                            'fallback_used': False},
+                   ('skewed', None, 0): {'estimate': 35464.4843562365,
+                                         'queries': {'degree': 2000,
+                                                     'neighbor': 8524,
+                                                     'pair': 3546,
+                                                     'vertex_samples': 109593,
+                                                     'total': 14070},
+                                         'runs': 38,
+                                         't_bar': 30517.578125,
+                                         'fallback_used': False},
+                   ('k40', None, 0): {'estimate': 9880.0,
+                                      'queries': {'degree': 40,
+                                                  'neighbor': 1242,
+                                                  'pair': 318,
+                                                  'vertex_samples': 5115,
+                                                  'total': 1600},
+                                      'runs': 7,
+                                      't_bar': None,
+                                      'fallback_used': True},
+                   ('gnp', None, 1): {'estimate': 32117.626953601593,
+                                      'queries': {'degree': 200,
+                                                  'neighbor': 3562,
+                                                  'pair': 1981,
+                                                  'vertex_samples': 17589,
+                                                  'total': 5743},
+                                      'runs': 18,
+                                      't_bar': 31250.0,
+                                      'fallback_used': False},
+                   ('clique-n3000', None, 1): {'estimate': 120.0,
+                                               'queries': {'degree': 3000,
+                                                           'neighbor': 55,
+                                                           'pair': 19,
+                                                           'vertex_samples': 211212,
+                                                           'total': 3074},
+                                               'runs': 46,
+                                               't_bar': None,
+                                               'fallback_used': True},
+                   ('bipartite-side6', None, 0): {'estimate': 0.0,
+                                                  'queries': {'degree': 12,
+                                                              'neighbor': 57,
+                                                              'pair': 15,
+                                                              'vertex_samples': 2968,
+                                                              'total': 84},
+                                                  'runs': 16,
+                                                  't_bar': None,
+                                                  'fallback_used': True},
+                   ('bipartite-side6', 1000000, 0): {'estimate': 0.0,
+                                                     'queries': {'degree': 12,
+                                                                 'neighbor': 72,
+                                                                 'pair': 15,
+                                                                 'vertex_samples': 4052,
+                                                                 'total': 99},
+                                                     'runs': 22,
+                                                     't_bar': None,
+                                                     'fallback_used': True},
+                   ('skewed', 3000, 3): {'estimate': 33741.0,
+                                         'queries': {'degree': 2000,
+                                                     'neighbor': 2125,
+                                                     'pair': 875,
+                                                     'vertex_samples': 94357,
+                                                     'total': 5000},
+                                         'runs': 33,
+                                         't_bar': None,
+                                         'fallback_used': True},
+                   ('gnp', 40, 1): {'estimate': 36421.0,
+                                    'queries': {'degree': 200,
+                                                'neighbor': 28,
+                                                'pair': 12,
+                                                'vertex_samples': 15563,
+                                                'total': 240},
+                                    'runs': 7,
+                                    't_bar': None,
+                                    'fallback_used': True}}
 GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [210.26229508196724],
                                              'stats': {'degree': 12,
                                                        'neighbor': 132,
@@ -333,9 +336,9 @@ GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
  ('gnp', 10, 6000.0, 30000.0, 6): {'verdict': 'light',
                                    'medians': [908.9, 518.5, 186.05],
                                    'queries_used': 174}}
-GOLDEN_CLI = {'estimate-json': '8c076378612f85ef7a675316485b2a0cd08cf6fd7e9f60136168f0a36fe3d8f1',
- 'estimate-plain': 'f6ff90b6ebfe2d4c08d408dea39ad0f12aaa88f5c22e2c0c8c796cb68898634d',
- 'bench-csv': '64122b15a00efda70a7d05c7ffd1dfeb9af8ba9ce5081e541a8485ae967efc44'}
+GOLDEN_CLI = {'estimate-json': 'b94b822831b78fa5906fad301e9e977aa7a7c66d7dafa78d2187f2d65b1731b6',
+ 'estimate-plain': '249d8ad9400fe22ca179f4c7f56b3275dddee222a904980b8a5ccc03110716db',
+ 'bench-csv': '81a5969dce29cc03aed6eb5aeefd608c062a9ab82ea8059a70da50e8c9070954'}
 
 
 # Recorded from the revision before the vectorized exact counter.

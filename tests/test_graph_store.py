@@ -209,6 +209,8 @@ class TestInvariantExceptions:
         assert proc.stdout.strip() == "raised: successor bound violated"
 
 
+OVER_ROW_KEYS = "is over 3037000499, the most int64 row keys allow"
+
 # (lines, line_no, message) for malformed edge lists. Inputs with two faults
 # report the one on the earliest line, and a small header is reported only
 # when no data line is at fault.
@@ -242,6 +244,13 @@ MALFORMED = [
     (["n 3", "0 1", "1 2 3"], 3, "expected 'u v', got '1 2 3'"),
     (["n 1", "0 1", "x"], 3, "expected 'u v', got 'x'"),
     (["0 1", "2 \udcff"], 2, "non-integer vertex id in '2 \\udcff'"),
+    # n past MAX_VERTICES is blamed on the line that set it, the header or
+    # the largest id, unless some pair is at fault.
+    (["n 9223372036854775807", "0 1"], 1, f"vertex count 9223372036854775807 {OVER_ROW_KEYS}"),
+    (["0 9223372036854775807"], 1, f"vertex count 9223372036854775808 {OVER_ROW_KEYS}"),
+    (["0 100000000000000000"], 1, f"vertex count 100000000000000001 {OVER_ROW_KEYS}"),
+    (["0 1", "2 100000000000000000", "1 2"], 2, f"vertex count 100000000000000001 {OVER_ROW_KEYS}"),
+    (["n 9223372036854775807", "0 1", "1 0"], 3, "duplicate edge (0, 1)"),
 ]
 
 
