@@ -122,6 +122,7 @@ def cmd_estimate(args) -> int:
     lines = [
         f"estimate: {doc['estimate']}",
         f"fallback_used: {doc['fallback_used']}",
+        f"fallback_reason: {doc['fallback_reason']}",
         f"advice: m_bar={doc['advice']['m_bar']} t_bar={doc['advice']['t_bar']}",
         f"queries: degree={q['degree']} neighbor={q['neighbor']} pair={q['pair']} "
         f"vertex_samples={q['vertex_samples']} total={q['total']}",

@@ -15,14 +15,13 @@ from __future__ import annotations
 import math
 import random
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import count_ordered
 from .heavy import HEAVY, LIGHT, HeavyParams, ceil_div_by_sqrt, classify_heavy, closing_probes, lower_median
-from .query_oracle import BudgetExhausted, QueryOracle, draw_below, neighbor_index
+from .query_oracle import BudgetExhausted, QueryOracle
 
 # Advice runs per t_bar level in estimate's search; a level accepts when the
 # minimum over its runs clears it.
@@ -36,6 +35,10 @@ FEIGE_EPS = 0.5
 # Mixing constant (splitmix64's) for deriving per-vertex verdict seeds.
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 63) - 1
+
+# An advice run's s2 stage draws and queries its samples in blocks of this
+# many, so its arrays stay this long whatever s2 is (up to MAX_RUN_SAMPLES).
+_S2_BLOCK = 8192
 
 # Hard ceiling on a single run's s1 or s2. Beyond this the sample arrays do
 # not fit in reasonable memory and the loop would run for hours, so the run
@@ -81,37 +84,35 @@ class EstimatorParams:
 class DegreeWeightedSampler:
     """Draw vertices from a fixed multiset with probability proportional to degree.
 
-    Degrees are fetched once through the oracle (batched); draws are exact,
-    via a binary search of a uniform position over the prefix sums of the
-    multiset's degree sequence. The search finds the first prefix sum above
-    the position, so a zero-degree member is never drawn.
+    Degrees are fetched once through the oracle (batched); draws are exact:
+    a uniform position below the total degree, then the first prefix sum of
+    the multiset's degree sequence above it, found by searchsorted. A
+    zero-degree member adds nothing to the prefix sums, so it is never drawn.
     """
 
     def __init__(self, oracle: QueryOracle, vertices: np.ndarray):
         self.vertices = np.asarray(vertices, dtype=np.int64)
-        degs = oracle.q_degree_batch(self.vertices)
-        self._cum = np.cumsum(degs, dtype=np.int64)
+        self.degrees = oracle.q_degree_batch(self.vertices)
+        self._cum = np.cumsum(self.degrees, dtype=np.int64)
         self.total_degree = int(self._cum[-1]) if len(self.vertices) else 0
-        # Memoryviews make each draw Python-int work: indexing one yields a
-        # Python int, and bisect reads it as a sequence.
-        self._cum_view = memoryview(self._cum)
-        self._vertices_view = memoryview(self.vertices)
 
-    def draw(self, rng: random.Random) -> int:
+    def draw(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """k draws with replacement, as (vertices, their degrees)."""
         if self.total_degree <= 0:
             raise ValueError("sampler has zero total degree")
-        pos = draw_below(rng, self.total_degree)
-        return self._vertices_view[bisect_right(self._cum_view, pos)]
+        at = np.searchsorted(self._cum, rng.integers(0, self.total_degree, k), "right")
+        return self.vertices[at], self.degrees[at]
 
 
-def _split(seed) -> tuple[random.Random, np.random.Generator, int]:
-    """Derive (scalar rng, batch rng, verdict seed base) from one seed."""
+def _split(seed) -> tuple[np.random.Generator, int]:
+    """Derive (batch rng, verdict seed base) from one seed."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    scalar_ss, batch_ss, verdict_ss = ss.spawn(3)
-    scalar = random.Random(int(scalar_ss.generate_state(2, np.uint64)[0]))
+    # Child 0 once seeded a scalar random.Random; skipping it keeps the
+    # other two streams, and so every estimate's m_bar, as they were.
+    batch_ss, verdict_ss = ss.spawn(3)[1:]
     batch = np.random.default_rng(batch_ss)
     verdict_base = int(verdict_ss.generate_state(2, np.uint64)[0])
-    return scalar, batch, verdict_base
+    return batch, verdict_base
 
 
 def estimate_with_advice(
@@ -140,6 +141,14 @@ def estimate_with_advice(
     verdict_cache (vertex -> verdict; a new dict when none is passed). A cache
     shared between runs realizes fixed coins across the sharing runs.
     params defaults to the practical profile.
+
+    Draws come from one numpy Generator per run, and the s2 samples go in
+    blocks of _S2_BLOCK. Within a block the queries run in this order: the
+    block's edge queries (q_neighbor_batch), the degrees of their far ends,
+    then, sample by sample, each kept sample's probes with the classifier
+    calls its hits need. The set of queries a run issues is fixed by its
+    draws, so neither the estimate nor whether the budget trips depends on
+    that order.
     """
     if params is None:
         params = EstimatorParams.practical()
@@ -148,7 +157,7 @@ def estimate_with_advice(
         raise ValueError("advice must be positive")
     if verdict_cache is None:
         verdict_cache = {}
-    rng, np_rng, verdict_base = _split(seed)
+    np_rng, verdict_base = _split(seed)
     n = oracle.n
 
     s1 = max(1, math.ceil(eps**-3 * math.log(n / eps) * n / t_bar ** (1.0 / 3.0)))
@@ -173,30 +182,42 @@ def estimate_with_advice(
             verdict_cache[u] = val
         return val
 
-    q_degree = oracle.q_degree
-    q_neighbor = oracle.q_neighbor
+    # d_u^2 <= m_bar exactly when d_u <= isqrt(floor(m_bar)), in integers.
+    small_max = math.isqrt(math.floor(m_bar))
     y_sum = 0.0
-    for _ in range(s2):
-        # The draws and charges of q_random_edge_at(v, rng), with d_v read
-        # once; v was drawn by degree, so d_v > 0.
-        v = sampler.draw(rng)
-        d_v = q_degree(v)
-        x = q_neighbor(v, neighbor_index(rng, d_v))
-        d_x = q_degree(x)
-        d_u = min(d_v, d_x)
-        if d_u * d_u <= m_bar and rng.random() >= d_u / sqrt_m:
+    for start in range(0, s2, _S2_BLOCK):
+        k = min(_S2_BLOCK, s2 - start)
+        # v was drawn by degree, so d_v > 0.
+        vs, dvs = sampler.draw(np_rng, k)
+        xs = oracle.q_neighbor_batch(vs, np_rng.integers(1, dvs + 1))
+        dxs = oracle.q_degree_batch(xs)
+        dus = np.minimum(dvs, dxs)
+        small = dus <= small_max
+        kept = np.flatnonzero(~small | (np_rng.random(k) < dus / sqrt_m))
+        if not kept.size:
             continue
-        r = ceil_div_by_sqrt(d_u, m_bar)
-        z_sum = 0.0
-        for w in closing_probes(oracle, v, x, d_v, d_x, r, rng):
-            lv = verdict(v)
-            lx = verdict(x)
-            lw = verdict(w)
-            if lv == HEAVY:
-                continue
-            ell = (lv == LIGHT) + (lx == LIGHT) + (lw == LIGHT)
-            z_sum += max(d_u, sqrt_m) / ell
-        y_sum += z_sum / r
+        dus = dus[kept]
+        rs = np.ones(kept.size, dtype=np.int64)
+        big = ~small[kept]
+        if big.any():
+            rs[big] = [ceil_div_by_sqrt(d, m_bar) for d in dus[big].tolist()]
+        probes = np_rng.integers(1, np.repeat(dus, rs) + 1).tolist()
+        at = 0
+        for v, x, d_v, d_x, d_u, r in zip(
+            vs[kept].tolist(), xs[kept].tolist(), dvs[kept].tolist(),
+            dxs[kept].tolist(), dus.tolist(), rs.tolist(),
+        ):
+            z_sum = 0.0
+            for w in closing_probes(oracle, v, x, d_v, d_x, probes[at:at + r]):
+                lv = verdict(v)
+                lx = verdict(x)
+                lw = verdict(w)
+                if lv == HEAVY:
+                    continue
+                ell = (lv == LIGHT) + (lx == LIGHT) + (lw == LIGHT)
+                z_sum += max(d_u, sqrt_m) / ell
+            at += r
+            y_sum += z_sum / r
     return n / (s1 * s2) * sampler.total_degree * y_sum
 
 
@@ -208,7 +229,7 @@ def feige_avg_degree(oracle: QueryOracle, seed=None) -> float:
     result lands in [d_avg / (2 + o(1)), d_avg] with constant probability per
     invocation, amplified by the median.
     """
-    _, np_rng, _ = _split(seed)
+    np_rng, _ = _split(seed)
     n = oracle.n
     reps = max(1, math.ceil(10.0 * math.log(max(n, 2))))
     k = max(1, math.ceil(FEIGE_C * math.sqrt(n) / FEIGE_EPS))
@@ -222,7 +243,13 @@ def feige_avg_degree(oracle: QueryOracle, seed=None) -> float:
 
 @dataclass
 class EstimateReport:
-    """Outcome of a full estimate run, JSON-serializable."""
+    """Outcome of a full estimate run, JSON-serializable.
+
+    fallback_reason says why the exact count was taken: "budget" (the query
+    budget tripped), "run_size" (a run would have passed MAX_RUN_SAMPLES),
+    "descent_exhausted" (no level accepted, or m_bar was 0 so there was no
+    level to try), or None when a level accepted and no fallback ran.
+    """
 
     estimate: float
     epsilon: float
@@ -232,6 +259,7 @@ class EstimateReport:
     runs: int
     seed: int | None
     fallback_used: bool
+    fallback_reason: str | None
     wall_ms: float | None
 
     def to_json_dict(self, timing: bool = True) -> dict:
@@ -243,6 +271,7 @@ class EstimateReport:
             "runs": self.runs,
             "seed": self.seed,
             "fallback_used": self.fallback_used,
+            "fallback_reason": self.fallback_reason,
             "wall_ms": self.wall_ms if timing else None,
         }
 
@@ -284,7 +313,8 @@ def estimate(
         return EstimateReport(
             estimate=0.0, epsilon=eps_eff, m_bar=0.0, t_bar=None,
             queries=oracle.stats.to_dict(), runs=0, seed=seed,
-            fallback_used=False, wall_ms=(time.perf_counter() - t_start) * 1000.0,
+            fallback_used=False, fallback_reason=None,
+            wall_ms=(time.perf_counter() - t_start) * 1000.0,
         )
 
     root = np.random.SeedSequence(seed)
@@ -298,6 +328,7 @@ def estimate(
 
     runs = 0
     accepted_level: float | None = None
+    reason = "descent_exhausted"
     if m_bar > 0:
         try:
             top = float(n) ** 3
@@ -317,9 +348,12 @@ def estimate(
                 x_final = min(xs)
                 if x_final >= t_bar:
                     accepted_level = t_bar
+                    reason = None
                     break
-        except (BudgetExhausted, RunSizeExceeded):
-            pass
+        except BudgetExhausted:
+            reason = "budget"
+        except RunSizeExceeded:
+            reason = "run_size"
     if accepted_level is None:
         # The search exhausted every level, the budget tripped or a run was
         # refused; each ends with an exact read of the graph.
@@ -335,5 +369,6 @@ def estimate(
         runs=runs,
         seed=seed,
         fallback_used=accepted_level is None,
+        fallback_reason=reason,
         wall_ms=wall_ms,
     )

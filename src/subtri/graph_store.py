@@ -72,9 +72,10 @@ class Graph:
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
         """Build a graph from (u, v) integer pairs.
 
-        A ValueError names an n over MAX_VERTICES, or else the first pair with
-        a non-integer id, an id outside [0, n), equal ends or an earlier
-        pair's ends, in either orientation. Neighbor lists keep the order in
+        A ValueError names an n over MAX_VERTICES or too large for the
+        memory its per-vertex arrays need, or else the first pair with a
+        non-integer id, an id outside [0, n), equal ends or an earlier pair's
+        ends, in either orientation. Neighbor lists keep the order in
         which edges appear.
         """
         if n > MAX_VERTICES:
@@ -89,8 +90,12 @@ class Graph:
         if m and (flat.min() < 0 or flat.max() >= n):
             k, reason = _first_bad_edge(n, flat)
             raise ValueError(f"edge {k}: {reason}")
-        degrees = np.bincount(flat, minlength=n).astype(np.int64)
-        offsets = np.zeros(n + 1, dtype=np.int64)
+        try:
+            degrees = np.bincount(flat, minlength=n).astype(np.int64, copy=False)
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            row_base = np.arange(n, dtype=np.int64)
+        except MemoryError:
+            raise ValueError(f"vertex count {n} needs more memory than is available") from None
         np.cumsum(degrees, out=offsets[1:])
         # Slot 2k holds u_k and slot 2k+1 holds v_k. A stable sort by endpoint
         # lists each vertex's incidences in edge order, and the partner of
@@ -100,7 +105,8 @@ class Graph:
         # stay below n * n, within int64 for n <= MAX_VERTICES, the bound that
         # _check_invariants' (degree, id) key also rests on. A repeated edge
         # or a self loop repeats a key.
-        row_base = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
+        row_base *= n
+        row_base = np.repeat(row_base, degrees)
         sorted_targets = row_base + targets
         sorted_targets.sort()
         if (sorted_targets[1:] == sorted_targets[:-1]).any():

@@ -63,23 +63,24 @@ def ceil_div_by_sqrt(d: int, m_bar: float) -> int:
     return r
 
 
-def closing_probes(oracle, v: int, x: int, d_v: int, d_x: int, r: int, rng: random.Random):
-    """Probe r uniform neighbors w of the order-smaller endpoint of edge (v, x).
+def closing_probes(oracle, v: int, x: int, d_v: int, d_x: int, idxs):
+    """Probe the neighbors at idxs of the order-smaller endpoint of edge (v, x).
 
-    The order is by (degree, id). Yields, in probe order, each w that closes
-    the triangle {v, x, w} with x before w in that order. Lazy on purpose:
-    callers may spend queries between probes, and a budget trip must land
-    at the same query either way. Each probe draws and meters like
-    q_random_edge_at at the smaller endpoint, whose degree the caller has
-    already queried.
+    The order is by (degree, id), and each index lies in 1..d_u, the smaller
+    endpoint's degree, which the caller has already queried. Yields, in
+    probe order, each w that closes the triangle {v, x, w} with x before w
+    in that order. Lazy on purpose: callers may spend queries between
+    probes, and a budget trip must land at the same query either way. The
+    caller draws the indices, uniform in 1..d_u: the classifier per sample
+    from its Random, an advice run in one batch per block of samples.
     """
     if d_x < d_v or (d_x == d_v and x < v):
-        u, o, d_u = x, v, d_x
+        u, o = x, v
     else:
-        u, o, d_u = v, x, d_v
+        u, o = v, x
     q_neighbor = oracle.q_neighbor
-    for _ in range(r):
-        w = q_neighbor(u, neighbor_index(rng, d_u))
+    for i in idxs:
+        w = q_neighbor(u, i)
         if w == v or w == x or not oracle.q_pair(o, w):
             continue
         d_w = oracle.q_degree(w)
@@ -184,7 +185,14 @@ def classify_heavy(
             d_u = min(d_v, d_x)
             r = ceil_div_by_sqrt(d_u, m_bar)
             hits = 0
-            for _ in closing_probes(oracle, v, x, d_v, d_x, r, rng):
+            # Queries draw nothing, so drawing the sample's r probe indices
+            # before its first probe leaves the Random stream as it is. r is
+            # 1 on most samples, where a tuple costs least.
+            if r == 1:
+                idxs = (neighbor_index(rng, d_u),)
+            else:
+                idxs = [neighbor_index(rng, d_u) for _ in range(r)]
+            for _ in closing_probes(oracle, v, x, d_v, d_x, idxs):
                 hits += 1
             y_total += hits * d_u / r
         estimates.append(d_v * y_total / s)

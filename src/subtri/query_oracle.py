@@ -31,10 +31,12 @@ def draw_below(rng: random.Random, k: int) -> int:
     (random.py; tests/test_query_oracle.py checks that the two streams
     agree, and CI runs that check on Python 3.10 and 3.12 as well as 3.11).
     The direct call skips randrange's argument handling, which costs more
-    than a memoized query on the estimator's loops. Every seeded index draw
-    goes through here, so this is the one place that relies on the private
-    method. k <= 0 raises ValueError as randrange does, where _randbelow(0)
-    never returns.
+    than a memoized query on the classifier's loop. The scalar index draws
+    (the classifier's edges and probes, and q_random_edge_at) go through
+    here, so this is the one place that relies on the private method; an
+    advice run's s2 stage draws its indices in batches from a numpy
+    Generator instead. k <= 0 raises ValueError as randrange does, where
+    _randbelow(0) never returns.
     """
     if k <= 0:
         raise ValueError(f"no index to draw below {k}")
@@ -78,12 +80,14 @@ class QueryOracle:
     """Query-counting, memoizing wrapper around a Graph.
 
     Answers never change (the graph is static), so the oracle keeps a record
-    of what has been revealed and never charges twice for the same fact. A
-    neighbor answer also reveals adjacency, so it seeds the pair memo. The
-    neighbor and pair counts in stats and budget_charged are read off the
-    memo, so budget_charged == neighbor + pair holds by construction. The
-    degree count grows as the degree bitmap gains vertices, so stats is
-    O(1) to read.
+    of what has been revealed and never charges twice for the same fact.
+    Revealed neighbor answers are a bitmap over CSR slots, revealed degrees a
+    bitmap over vertices, and each keeps a count of its set entries; pair
+    answers (and the rare neighbor index past the degree) are kept in sets
+    and dicts. A neighbor answer also reveals adjacency, so it seeds the
+    pair memo. The neighbor and pair counts in stats and budget_charged are
+    read off the memo, so budget_charged == neighbor + pair holds by
+    construction, and stats is O(1) to read.
     """
 
     def __init__(self, graph: Graph, seed: int | None = None, budget: int | None = None):
@@ -102,7 +106,9 @@ class QueryOracle:
         self._offsets = memoryview(graph.offsets)
         self._targets = memoryview(graph.targets)
         self._deg_count = 0
-        self._nbr_seen: set[int] = set()
+        self._nbr_seen = np.zeros(len(graph.targets), dtype=bool)
+        self._nbr_seen_view = memoryview(self._nbr_seen)
+        self._nbr_count = 0
         self._absent_seen: set[tuple[int, int]] = set()
         self._pair_cache: dict[int, bool] = {}
         self._pair_count = 0
@@ -122,7 +128,7 @@ class QueryOracle:
 
     @property
     def budget_charged(self) -> int:
-        return len(self._nbr_seen) + len(self._absent_seen) + self._pair_count
+        return self._nbr_count + len(self._absent_seen) + self._pair_count
 
     # Each fresh-charge branch below tests budget_charged's sum against the
     # cap inline, before it adds to the memo: the test runs once per distinct
@@ -164,22 +170,63 @@ class QueryOracle:
             key = (v, i)
             if key not in self._absent_seen:
                 if self._cap is not None and (
-                    len(self._nbr_seen) + len(self._absent_seen) + self._pair_count >= self._cap
+                    self._nbr_count + len(self._absent_seen) + self._pair_count >= self._cap
                 ):
                     raise self._exhausted()
                 self._absent_seen.add(key)
             return ABSENT
         slot = self._offsets[v] + i - 1
         w = self._targets[slot]
-        if slot not in self._nbr_seen:
+        seen = self._nbr_seen_view
+        if not seen[slot]:
             if self._cap is not None and (
-                len(self._nbr_seen) + len(self._absent_seen) + self._pair_count >= self._cap
+                self._nbr_count + len(self._absent_seen) + self._pair_count >= self._cap
             ):
                 raise self._exhausted()
-            self._nbr_seen.add(slot)
+            seen[slot] = True
+            self._nbr_count += 1
             # Adjacency of (v, w) is now known for free.
             self._pair_cache[v * self.n + w if v < w else w * self.n + v] = True
         return w
+
+    def q_neighbor_batch(self, vs: np.ndarray, idxs: np.ndarray) -> np.ndarray:
+        """The idxs[k]-th neighbor of vs[k] for each k, charged as q_neighbor
+        on each pair in array order would charge.
+
+        Every index must lie in 1..d(v); the ABSENT answer is q_neighbor's
+        alone. A ValueError or IndexError is raised before anything is
+        charged. The fresh distinct slots are charged in order of first
+        occurrence, each seeding the pair memo. When the cap leaves room for
+        only some of them, those are charged and BudgetExhausted is raised,
+        so the memo ends as the scalar loop's does at its trip.
+        """
+        vs = np.asarray(vs, dtype=np.int64)
+        idxs = np.asarray(idxs, dtype=np.int64)
+        if vs.shape != idxs.shape or vs.ndim != 1:
+            raise ValueError("vertices and indices must be 1-d arrays of one length")
+        if not vs.size:
+            return np.zeros(0, dtype=np.int64)
+        if vs.min() < 0 or vs.max() >= self.n:
+            raise IndexError("vertex out of range")
+        if idxs.min() < 1 or (idxs > self.graph.degrees[vs]).any():
+            raise ValueError("batched neighbor indices must lie in 1..d(v)")
+        slots = self.graph.offsets[vs] + (idxs - 1)
+        ws = self.graph.targets[slots]
+        fresh = np.flatnonzero(~self._nbr_seen[slots])
+        if fresh.size:
+            _, first = np.unique(slots[fresh], return_index=True)
+            fresh = fresh[np.sort(first)]
+            room = fresh.size if self._cap is None else max(0, self._cap - self.budget_charged)
+            charge = fresh[:room]
+            self._nbr_seen[slots[charge]] = True
+            self._nbr_count += charge.size
+            # Adjacency of each revealed (v, w) is now known for free.
+            v, w = vs[charge], ws[charge]
+            keys = np.minimum(v, w) * self.n + np.maximum(v, w)
+            self._pair_cache.update(dict.fromkeys(keys.tolist(), True))
+            if room < fresh.size:
+                raise self._exhausted()
+        return ws
 
     def q_pair(self, u: int, v: int) -> bool:
         """Whether the edge (u, v) exists."""
@@ -192,7 +239,7 @@ class QueryOracle:
         if cached is not None:
             return cached
         if self._cap is not None and (
-            len(self._nbr_seen) + len(self._absent_seen) + self._pair_count >= self._cap
+            self._nbr_count + len(self._absent_seen) + self._pair_count >= self._cap
         ):
             raise self._exhausted()
         self._pair_count += 1
@@ -220,7 +267,7 @@ class QueryOracle:
     def stats(self) -> QueryStats:
         return QueryStats(
             degree=self._deg_count,
-            neighbor=len(self._nbr_seen) + len(self._absent_seen),
+            neighbor=self._nbr_count + len(self._absent_seen),
             pair=self._pair_count,
             vertex_samples=self._vertex_samples,
         )

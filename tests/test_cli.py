@@ -1,8 +1,14 @@
-"""Tests for the command-line interface, run in process through main()."""
+"""Tests for the command-line interface, run in process through main()
+(and, where a limit must bind the whole process, in a child)."""
 
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +70,31 @@ class TestExact:
         bad.write_text("0 100000000000000000\n")
         assert main(["exact", "--input", str(bad)]) == 3
         assert "line 1: vertex count 100000000000000001 is over" in capsys.readouterr().err
+
+    def test_vertex_count_past_memory_is_exit_three(self, tmp_path):
+        # An id within MAX_VERTICES whose per-vertex arrays (16 GB each here)
+        # do not fit under a 3 GB address-space limit is bad input, not a bug.
+        bad = tmp_path / "big.edges"
+        bad.write_text("0 2000000000\n")
+        limit = 3_000_000 * 1024
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            OPENBLAS_NUM_THREADS="1",
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "subtri.cli", "exact", "--input", str(bad)],
+            env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "error: line 1: vertex count 2000000001 needs more memory than is available\n"
+        )
 
 
 class TestEstimate:
@@ -129,6 +160,13 @@ class TestEstimate:
         assert "estimate: 4.0" in lines
         assert "fallback_used: True" in lines
         assert "runs: 0" in lines
+
+    def test_fallback_reason_is_reported(self, tmp_path, capsys):
+        path = k4_path(tmp_path)
+        assert main(["estimate", "--input", path, "--epsilon", "1e-5"]) == 0
+        assert "fallback_reason: run_size" in capsys.readouterr().out.splitlines()
+        assert main(["estimate", "--input", path, "--json", "--budget", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["fallback_reason"] == "budget"
 
     def test_nan_epsilon_is_exit_three(self, tmp_path, capsys):
         code = main(["estimate", "--input", k4_path(tmp_path), "--epsilon", "nan"])

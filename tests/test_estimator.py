@@ -57,11 +57,10 @@ class TestDegreeWeightedSampler:
         o = fresh_oracle(self.graph())
         sampler = DegreeWeightedSampler(o, np.array([0, 1, 2]))
         assert sampler.total_degree == 6
-        rng = random.Random(5)
         draws = 60_000
-        counts = {0: 0, 1: 0, 2: 0}
-        for _ in range(draws):
-            counts[sampler.draw(rng)] += 1
+        vs, degs = sampler.draw(np.random.default_rng(5), draws)
+        assert np.array_equal(degs, o.graph.degrees[vs])
+        counts = np.bincount(vs, minlength=3)
         for v, p in ((0, 1 / 6), (1, 2 / 6), (2, 3 / 6)):
             sigma = math.sqrt(draws * p * (1 - p))
             assert abs(counts[v] - draws * p) <= 5 * sigma
@@ -70,15 +69,16 @@ class TestDegreeWeightedSampler:
         o = fresh_oracle(self.graph())
         sampler = DegreeWeightedSampler(o, np.array([1, 1]))
         assert sampler.total_degree == 4
-        rng = random.Random(0)
-        assert all(sampler.draw(rng) == 1 for _ in range(50))
+        vs, degs = sampler.draw(np.random.default_rng(0), 50)
+        assert vs.tolist() == [1] * 50
+        assert degs.tolist() == [2] * 50
 
     def test_zero_mass_multiset_cannot_draw(self):
         o = fresh_oracle(self.graph())
         sampler = DegreeWeightedSampler(o, np.array([5]))
         assert sampler.total_degree == 0
         with pytest.raises(ValueError, match="zero total degree"):
-            sampler.draw(random.Random(0))
+            sampler.draw(np.random.default_rng(0), 1)
 
 
 class TestAdviceRuns:

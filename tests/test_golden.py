@@ -72,6 +72,7 @@ def report_fields(report) -> dict:
         "runs": report.runs,
         "t_bar": report.t_bar,
         "fallback_used": report.fallback_used,
+        "fallback_reason": report.fallback_reason,
     }
 
 
@@ -180,137 +181,147 @@ def run_exact_cli(tmp_path, capsys) -> dict:
     return digests
 
 
-# Recorded from the single-descent t_bar search.
-GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 6379.898841884663,
-                                            'queries': {'degree': 256,
-                                                        'neighbor': 7889,
-                                                        'pair': 3073,
-                                                        'vertex_samples': 25288,
-                                                        'total': 11218},
-                                            'runs': 26,
-                                            't_bar': 4096.0,
-                                            'fallback_used': False},
-                   ('skewed', None, 0): {'estimate': 35464.4843562365,
-                                         'queries': {'degree': 2000,
-                                                     'neighbor': 8524,
-                                                     'pair': 3546,
-                                                     'vertex_samples': 109593,
-                                                     'total': 14070},
-                                         'runs': 38,
-                                         't_bar': 30517.578125,
-                                         'fallback_used': False},
-                   ('k40', None, 0): {'estimate': 9880.0,
-                                      'queries': {'degree': 40,
-                                                  'neighbor': 1242,
-                                                  'pair': 318,
-                                                  'vertex_samples': 5115,
-                                                  'total': 1600},
-                                      'runs': 7,
-                                      't_bar': None,
-                                      'fallback_used': True},
-                   ('gnp', None, 1): {'estimate': 32117.626953601593,
-                                      'queries': {'degree': 200,
-                                                  'neighbor': 3562,
-                                                  'pair': 1981,
-                                                  'vertex_samples': 17589,
-                                                  'total': 5743},
-                                      'runs': 18,
-                                      't_bar': 31250.0,
-                                      'fallback_used': False},
-                   ('clique-n3000', None, 1): {'estimate': 120.0,
-                                               'queries': {'degree': 3000,
-                                                           'neighbor': 55,
-                                                           'pair': 19,
-                                                           'vertex_samples': 211212,
-                                                           'total': 3074},
-                                               'runs': 46,
-                                               't_bar': None,
-                                               'fallback_used': True},
-                   ('bipartite-side6', None, 0): {'estimate': 0.0,
-                                                  'queries': {'degree': 12,
-                                                              'neighbor': 57,
-                                                              'pair': 15,
-                                                              'vertex_samples': 2968,
-                                                              'total': 84},
-                                                  'runs': 16,
-                                                  't_bar': None,
-                                                  'fallback_used': True},
-                   ('bipartite-side6', 1000000, 0): {'estimate': 0.0,
-                                                     'queries': {'degree': 12,
-                                                                 'neighbor': 72,
-                                                                 'pair': 15,
-                                                                 'vertex_samples': 4052,
-                                                                 'total': 99},
-                                                     'runs': 22,
-                                                     't_bar': None,
-                                                     'fallback_used': True},
-                   ('skewed', 3000, 3): {'estimate': 33741.0,
-                                         'queries': {'degree': 2000,
-                                                     'neighbor': 2125,
-                                                     'pair': 875,
-                                                     'vertex_samples': 94357,
-                                                     'total': 5000},
-                                         'runs': 33,
-                                         't_bar': None,
-                                         'fallback_used': True},
-                   ('gnp', 40, 1): {'estimate': 36421.0,
-                                    'queries': {'degree': 200,
-                                                'neighbor': 28,
-                                                'pair': 12,
-                                                'vertex_samples': 15563,
-                                                'total': 240},
-                                    'runs': 7,
-                                    't_bar': None,
-                                    'fallback_used': True}}
-GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [210.26229508196724],
+# Recorded from the batched s2 stage: one numpy Generator per advice run.
+GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 8876.380997404745,
+                          'queries': {'degree': 256,
+                                      'neighbor': 8113,
+                                      'pair': 3089,
+                                      'vertex_samples': 25288,
+                                      'total': 11458},
+                          'runs': 26,
+                          't_bar': 4096.0,
+                          'fallback_used': False,
+                          'fallback_reason': None},
+ ('skewed', None, 0): {'estimate': 33708.42444387377,
+                       'queries': {'degree': 2000,
+                                   'neighbor': 8368,
+                                   'pair': 3416,
+                                   'vertex_samples': 109593,
+                                   'total': 13784},
+                       'runs': 38,
+                       't_bar': 30517.578125,
+                       'fallback_used': False,
+                       'fallback_reason': None},
+ ('k40', None, 0): {'estimate': 9880.0,
+                    'queries': {'degree': 40,
+                                'neighbor': 1226,
+                                'pair': 334,
+                                'vertex_samples': 5115,
+                                'total': 1600},
+                    'runs': 7,
+                    't_bar': None,
+                    'fallback_used': True,
+                    'fallback_reason': 'budget'},
+ ('gnp', None, 1): {'estimate': 34604.52776338083,
+                    'queries': {'degree': 200,
+                                'neighbor': 6086,
+                                'pair': 3459,
+                                'vertex_samples': 18357,
+                                'total': 9745},
+                    'runs': 20,
+                    't_bar': 15625.0,
+                    'fallback_used': False,
+                    'fallback_reason': None},
+ ('clique-n3000', None, 1): {'estimate': 120.0,
+                             'queries': {'degree': 3000,
+                                         'neighbor': 56,
+                                         'pair': 18,
+                                         'vertex_samples': 185846,
+                                         'total': 3074},
+                             'runs': 44,
+                             't_bar': None,
+                             'fallback_used': True,
+                             'fallback_reason': 'budget'},
+ ('bipartite-side6', None, 0): {'estimate': 0.0,
+                                'queries': {'degree': 12,
+                                            'neighbor': 59,
+                                            'pair': 13,
+                                            'vertex_samples': 2806,
+                                            'total': 84},
+                                'runs': 15,
+                                't_bar': None,
+                                'fallback_used': True,
+                                'fallback_reason': 'budget'},
+ ('bipartite-side6', 1000000, 0): {'estimate': 0.0,
+                                   'queries': {'degree': 12,
+                                               'neighbor': 72,
+                                               'pair': 15,
+                                               'vertex_samples': 4052,
+                                               'total': 99},
+                                   'runs': 22,
+                                   't_bar': None,
+                                   'fallback_used': True,
+                                   'fallback_reason': 'descent_exhausted'},
+ ('skewed', 3000, 3): {'estimate': 33741.0,
+                       'queries': {'degree': 2000,
+                                   'neighbor': 2122,
+                                   'pair': 878,
+                                   'vertex_samples': 91681,
+                                   'total': 5000},
+                       'runs': 32,
+                       't_bar': None,
+                       'fallback_used': True,
+                       'fallback_reason': 'budget'},
+ ('gnp', 40, 1): {'estimate': 36421.0,
+                  'queries': {'degree': 200,
+                              'neighbor': 27,
+                              'pair': 13,
+                              'vertex_samples': 15217,
+                              'total': 240},
+                  'runs': 3,
+                  't_bar': None,
+                  'fallback_used': True,
+                  'fallback_reason': 'budget'}}
+GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [245.96721311475392],
                                              'stats': {'degree': 12,
                                                        'neighbor': 132,
-                                                       'pair': 52,
+                                                       'pair': 5,
                                                        'vertex_samples': 32,
-                                                       'total': 196},
+                                                       'total': 149},
                                              'heavy': [],
                                              'light': [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]},
- ('k40', 780.0, 16000.0, 'practical', (1, 2)): {'values': [8450.0, 18590.0],
+ ('k40', 780.0, 16000.0, 'practical', (1, 2)): {'values': [10140.0, 3380.0],
                                                 'stats': {'degree': 40,
-                                                          'neighbor': 680,
-                                                          'pair': 223,
+                                                          'neighbor': 403,
+                                                          'pair': 183,
                                                           'vertex_samples': 112,
-                                                          'total': 943},
-                                                'heavy': [21, 30, 32, 35],
-                                                'light': [0, 5, 14, 18, 19, 25, 33, 34, 36, 37,
-                                                          39]},
- ('wheel', 99.0, 81.0, 'practical', (3, 4)): {'values': [86.96691176470588, 0.0],
+                                                          'total': 626},
+                                                'heavy': [32, 34],
+                                                'light': [12, 13, 15, 28, 29, 37]},
+ ('wheel', 99.0, 81.0, 'practical', (3, 4)): {'values': [28.988970588235293, 59.375],
                                               'stats': {'degree': 19,
-                                                        'neighbor': 164,
-                                                        'pair': 48,
+                                                        'neighbor': 155,
+                                                        'pair': 40,
                                                         'vertex_samples': 256,
-                                                        'total': 231},
+                                                        'total': 214},
                                               'heavy': [18],
-                                              'light': [3, 5, 6, 7, 8, 9, 13, 14, 16, 17]},
- ('skewed', 18000.0, 30000.0, 'practical', (4, 5)): {'values': [28641.5532392273,
-                                                                21886.922712922784],
-                                                     'stats': {'degree': 1984,
-                                                               'neighbor': 3695,
-                                                               'pair': 1418,
+                                              'light': [0, 1, 4, 10, 13, 17]},
+ ('skewed', 18000.0, 30000.0, 'practical', (4, 5)): {'values': [40510.51981152123,
+                                                                40318.01552380513],
+                                                     'stats': {'degree': 1987,
+                                                               'neighbor': 4124,
+                                                               'pair': 1659,
                                                                'vertex_samples': 8542,
-                                                               'total': 7097},
-                                                     'heavy': [0, 1, 3, 5, 6, 7, 10],
-                                                     'light': [2, 4, 8, 9, 11, 12, 14, 17, 19,
-                                                               20, 21, 23, 25, 26, 27, 28, 31,
-                                                               33, 35, 37, 40, 42, 46, 53, 75,
-                                                               93, 103, 126, 129, 145, 165, 173,
-                                                               212, 219, 235, 275, 322, 333,
-                                                               354, 520, 563, 606, 613, 792,
-                                                               852, 1249, 1361, 1448]},
- ('gnp', 6000.0, 30000.0, 'practical', (6,)): {'values': [22148.045309148532],
-                                               'stats': {'degree': 195,
-                                                         'neighbor': 675,
-                                                         'pair': 363,
+                                                               'total': 7770},
+                                                     'heavy': [0, 1, 3, 5, 6, 7, 8, 10, 12, 15],
+                                                     'light': [2, 4, 9, 13, 16, 19, 21, 22, 25, 26,
+                                                               29, 32, 34, 36, 39, 43, 47, 48, 54,
+                                                               55, 56, 58, 65, 66, 72, 74, 85, 93,
+                                                               108, 109, 139, 147, 149, 182, 183,
+                                                               185, 187, 197, 218, 253, 275, 284,
+                                                               291, 304, 314, 336, 399, 422, 447,
+                                                               454, 507, 567, 716, 940, 1127, 1547,
+                                                               1895]},
+ ('gnp', 6000.0, 30000.0, 'practical', (6,)): {'values': [35436.87249463765],
+                                               'stats': {'degree': 198,
+                                                         'neighbor': 961,
+                                                         'pair': 545,
                                                          'vertex_samples': 309,
-                                                         'total': 1233},
+                                                         'total': 1704},
                                                'heavy': [],
-                                               'light': [1, 14, 19, 28, 40, 46, 60, 81, 83, 101,
-                                                         116, 169, 172, 185, 189]}}
+                                               'light': [7, 15, 21, 29, 30, 37, 49, 59, 64, 68, 78,
+                                                         79, 83, 92, 96, 146, 160, 164, 165, 169,
+                                                         170, 178, 194]}}
 GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
                                 'medians': [78.19672131147541, 84.8360655737705,
                                             78.56557377049181, 81.14754098360656,
@@ -336,10 +347,9 @@ GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
  ('gnp', 10, 6000.0, 30000.0, 6): {'verdict': 'light',
                                    'medians': [908.9, 518.5, 186.05],
                                    'queries_used': 174}}
-GOLDEN_CLI = {'estimate-json': 'b94b822831b78fa5906fad301e9e977aa7a7c66d7dafa78d2187f2d65b1731b6',
- 'estimate-plain': '249d8ad9400fe22ca179f4c7f56b3275dddee222a904980b8a5ccc03110716db',
- 'bench-csv': '81a5969dce29cc03aed6eb5aeefd608c062a9ab82ea8059a70da50e8c9070954'}
-
+GOLDEN_CLI = {'estimate-json': '9c8fc3f9142d7c4ef5d79dd4883b3e98f5a43d055cc0828a24db2f14d5348a66',
+ 'estimate-plain': '0d7677d3473abb5ec919c64d99c12e34d8774bee318e482e41c8c6aef7da9ec0',
+ 'bench-csv': 'cdfede004d272a7da8cddd1ce85759dbca586fa9db789f9d505639f4a9ccbc08'}
 
 # Recorded from the revision before the vectorized exact counter.
 GOLDEN_EXACT_CLI = {
@@ -366,6 +376,22 @@ def test_advice_run(case):
 def test_classifier(case):
     key = case[:4] + (case[5],)
     assert run_classify(*case) == GOLDEN_CLASSIFY[key]
+
+
+@pytest.mark.parametrize(
+    "name, budget, seed, eps, reason",
+    [
+        ("skewed", 3000, 3, 0.5, "budget"),
+        ("skewed", None, 0, 1e-5, "run_size"),
+        ("bipartite-side6", 10**6, 0, 0.5, "descent_exhausted"),
+        ("skewed", None, 0, 0.5, None),
+    ],
+)
+def test_fallback_reason(name, budget, seed, eps, reason):
+    oracle = QueryOracle(GRAPHS[name](), seed=seed, budget=budget)
+    report = estimate(oracle, eps, EstimatorParams.practical(), seed=seed)
+    assert report.fallback_reason == reason
+    assert report.fallback_used == (reason is not None)
 
 
 def test_cli_bytes(tmp_path, capsys):

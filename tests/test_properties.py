@@ -1,7 +1,7 @@
-"""Property tests: oracle metering, degree-weighted draws, graph storage, and
-the exact counters against networkx."""
+"""Property tests: oracle metering, batched neighbor queries, degree-weighted
+draws, graph storage, and the exact counters against networkx."""
 
-import random
+from bisect import bisect_right
 from unittest import mock
 
 import networkx as nx
@@ -172,21 +172,86 @@ def weighted_multisets(draw):
 
 
 class TestDegreeWeightedDraws:
-    @given(weighted_multisets(), st.integers(0, 2**32))
+    @given(weighted_multisets(), st.integers(0, 2**32), st.integers(0, 64))
     @settings(max_examples=200, deadline=None)
-    def test_draws_match_randrange_and_searchsorted(self, case, seed):
-        # The reference draw: a position by randrange over the total degree,
-        # then the first prefix sum above it by numpy's right-sided search.
+    def test_draws_match_searchsorted_reference(self, case, seed, k):
+        # The reference draw, one position at a time: a uniform position
+        # below the total degree from an identically seeded Generator, then
+        # the first prefix sum above it.
         g, members = case
         sampler = DegreeWeightedSampler(QueryOracle(g, seed=0), np.array(members))
-        cum = np.cumsum([g.degree(v) for v in members])
-        ours, ref = random.Random(seed), random.Random(seed)
-        for _ in range(64):
-            pos = ref.randrange(int(cum[-1]))
-            want = members[int(np.searchsorted(cum, pos, side="right"))]
-            got = sampler.draw(ours)
+        cum = np.cumsum([g.degree(v) for v in members]).tolist()
+        positions = np.random.default_rng(seed).integers(0, cum[-1], k).tolist()
+        want = [members[bisect_right(cum, pos)] for pos in positions]
+        vs, degs = sampler.draw(np.random.default_rng(seed), k)
+        assert vs.tolist() == want
+        assert degs.tolist() == [g.degree(v) for v in want]
+        assert all(d > 0 for d in degs.tolist())
+
+
+@st.composite
+def batch_cases(draw):
+    """(graph, scalar queries asked first, (v, i) pairs for one batch, cap).
+
+    The batch pairs come from a few slots, so they repeat, and each index
+    lies in 1..d(v). The cap is None or any value from 0 up, below or above
+    what the first queries charge.
+    """
+    g, queries = draw(graph_and_queries())
+    assume(g.m)
+    slots = [(v, i) for v in range(g.n) for i in range(1, g.degree(v) + 1)]
+    pool = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=6))
+    pairs = draw(st.lists(st.sampled_from(pool), max_size=30))
+    cap = draw(st.one_of(st.none(), st.integers(0, 40)))
+    return g, queries, pairs, cap
+
+
+def observed_memo(oracle: QueryOracle) -> list:
+    """Every neighbor and pair answer the oracle gives without a new charge,
+    with None where the question would need one."""
+    oracle.set_budget(oracle.budget_charged)
+    out = []
+    g = oracle.graph
+    questions = [("neighbor", v, i) for v in range(g.n) for i in range(1, g.degree(v) + 1)]
+    questions += [("pair", (u, v)) for u in range(g.n) for v in range(u + 1, g.n)]
+    for q in questions:
+        try:
+            out.append(ask(oracle, q))
+        except BudgetExhausted:
+            out.append(None)
+    return out
+
+
+class TestNeighborBatch:
+    @given(batch_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_loop(self, case):
+        # The reference is q_neighbor called on each pair in array order.
+        g, queries, pairs, cap = case
+        ours, ref = QueryOracle(g, seed=0), QueryOracle(g, seed=0)
+        for oracle in (ours, ref):
+            for q in queries:
+                ask(oracle, q)
+            oracle.set_budget(cap)
+        want, ref_tripped = [], False
+        for v, i in pairs:
+            try:
+                want.append(ref.q_neighbor(v, i))
+            except BudgetExhausted:
+                ref_tripped = True
+                break
+        vs = np.array([v for v, _ in pairs], dtype=np.int64)
+        idxs = np.array([i for _, i in pairs], dtype=np.int64)
+        try:
+            got = ours.q_neighbor_batch(vs, idxs).tolist()
+        except BudgetExhausted:
+            assert ref_tripped
+        else:
+            assert not ref_tripped
             assert got == want
-            assert g.degree(got) > 0
+        assert ours.stats == ref.stats
+        assert ours.budget_charged == ref.budget_charged
+        assert observed_memo(ours) == observed_memo(ref)
 
 
 class TestGraphStorage:

@@ -119,6 +119,22 @@ class TestAnswerSoundness:
         with pytest.raises(ValueError):
             o.q_neighbor(0, 0)
 
+    @pytest.mark.parametrize(
+        "vs, idxs, error",
+        [
+            ([0, 1], [1, 3], ValueError),  # past the degree: ABSENT is scalar-only
+            ([0, 1], [1, 0], ValueError),
+            ([0, 3], [1, 1], IndexError),
+            ([0, 1], [1], ValueError),
+        ],
+    )
+    def test_batch_errors_charge_nothing(self, vs, idxs, error):
+        o = triangle_oracle()
+        with pytest.raises(error):
+            o.q_neighbor_batch(np.array(vs), np.array(idxs))
+        assert o.stats.total == 0
+        assert o.q_neighbor_batch(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).size == 0
+
     def test_empty_graph_oracle_is_valid_but_unqueryable(self):
         o = QueryOracle(Graph.from_edges(0, []), seed=0)
         with pytest.raises(IndexError):
@@ -187,6 +203,16 @@ class TestBudget:
         with pytest.raises(ValueError, match="at least 0"):
             o.set_budget(-1)
         assert o.budget_cap == 0
+
+    def test_batch_under_a_lowered_cap_charges_nothing(self):
+        o = QueryOracle(complete_graph(5), seed=0)
+        o.q_neighbor(0, 1)
+        o.q_pair(1, 2)
+        o.set_budget(1)
+        with pytest.raises(BudgetExhausted):
+            o.q_neighbor_batch(np.array([0, 1, 2, 3]), np.array([1, 1, 1, 1]))
+        assert o.budget_charged == 2
+        assert o.stats.neighbor == 1
 
     def test_random_edge_propagates_exhaustion(self):
         o = triangle_oracle(budget=0)
