@@ -10,8 +10,9 @@ Usage: python3 demos/heavy_classifier.py
 
 from __future__ import annotations
 
-import random
 import statistics
+
+import numpy as np
 
 from subtri import (
     Graph,
@@ -51,7 +52,7 @@ def main() -> None:
 
     params = HeavyParams.theoretical()
     oracle = QueryOracle(g, seed=0)
-    rng = random.Random(1000)
+    rng = np.random.default_rng(1000)
     print("sampled verdicts (theoretical parameters, seed 0):")
     for v in (hub, 0, 9):
         verdict = classify_heavy(oracle, v, m_bar, t_bar, eps, params, rng)

@@ -13,14 +13,21 @@ the whole graph is no more expensive asymptotically.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exact import count_ordered
-from .heavy import HEAVY, LIGHT, HeavyParams, ceil_div_by_sqrt, classify_heavy, closing_probes, lower_median
+from .heavy import (
+    LIGHT,
+    HeavyParams,
+    ceil_div_by_sqrt_array,
+    classify_batch,
+    classify_heavy,  # unused here; bench/tracer.py looks it up by name
+    closing_hits,
+    lower_median,
+)
 from .query_oracle import BudgetExhausted, QueryOracle
 
 # Advice runs per t_bar level in estimate's search; a level accepts when the
@@ -144,11 +151,17 @@ def estimate_with_advice(
 
     Draws come from one numpy Generator per run, and the s2 samples go in
     blocks of _S2_BLOCK. Within a block the queries run in this order: the
-    block's edge queries (q_neighbor_batch), the degrees of their far ends,
-    then, sample by sample, each kept sample's probes with the classifier
-    calls its hits need. The set of queries a run issues is fixed by its
-    draws, so neither the estimate nor whether the budget trips depends on
-    that order.
+    block's edge queries (q_neighbor_batch) and the degrees of their far
+    ends; then the probes of all kept samples at once (closing_hits:
+    q_neighbor_batch, q_pair_batch on the probes that are neither v nor x,
+    q_degree_batch on the closers); then one classify_batch call for every
+    vertex of the block's hits that verdict_cache lacks, each drawing from
+    np.random.default_rng of its own seed; then the hits are scored from
+    verdict_cache. The set of queries a run asks is fixed by its draws and
+    the verdicts, so the estimate does not depend on that order as long as
+    the budget holds. The charged count can: a pair query is free when a
+    neighbor answer revealed the pair first, so the order decides how many
+    charges the same queries cost, and with it where the budget trips.
     """
     if params is None:
         params = EstimatorParams.practical()
@@ -173,15 +186,6 @@ def estimate_with_advice(
         return 0.0
 
     sqrt_m = math.sqrt(m_bar)
-
-    def verdict(u: int) -> str:
-        val = verdict_cache.get(u)
-        if val is None:
-            vrng = random.Random((verdict_base ^ (u * _MIX)) & _MASK)
-            val = classify_heavy(oracle, u, m_bar, t_bar, eps, params.heavy_params, vrng).verdict
-            verdict_cache[u] = val
-        return val
-
     # d_u^2 <= m_bar exactly when d_u <= isqrt(floor(m_bar)), in integers.
     small_max = math.isqrt(math.floor(m_bar))
     y_sum = 0.0
@@ -196,28 +200,26 @@ def estimate_with_advice(
         kept = np.flatnonzero(~small | (np_rng.random(k) < dus / sqrt_m))
         if not kept.size:
             continue
-        dus = dus[kept]
-        rs = np.ones(kept.size, dtype=np.int64)
-        big = ~small[kept]
-        if big.any():
-            rs[big] = [ceil_div_by_sqrt(d, m_bar) for d in dus[big].tolist()]
-        probes = np_rng.integers(1, np.repeat(dus, rs) + 1).tolist()
-        at = 0
-        for v, x, d_v, d_x, d_u, r in zip(
-            vs[kept].tolist(), xs[kept].tolist(), dvs[kept].tolist(),
-            dxs[kept].tolist(), dus.tolist(), rs.tolist(),
-        ):
-            z_sum = 0.0
-            for w in closing_probes(oracle, v, x, d_v, d_x, probes[at:at + r]):
-                lv = verdict(v)
-                lx = verdict(x)
-                lw = verdict(w)
-                if lv == HEAVY:
-                    continue
-                ell = (lv == LIGHT) + (lx == LIGHT) + (lw == LIGHT)
-                z_sum += max(d_u, sqrt_m) / ell
-            at += r
-            y_sum += z_sum / r
+        vs, xs, dvs, dxs, dus = vs[kept], xs[kept], dvs[kept], dxs[kept], dus[kept]
+        rs = ceil_div_by_sqrt_array(dus, m_bar)
+        at = np.repeat(np.arange(kept.size), rs)
+        hit_at, ws = closing_hits(oracle, vs, xs, dvs, dxs, at, np_rng.integers(1, dus[at] + 1))
+        if not hit_at.size:
+            continue
+        # Each hit's three vertices, then one classifier call for the ones
+        # no earlier block or run has classified.
+        need, where = np.unique(np.concatenate((vs[hit_at], xs[hit_at], ws)), return_inverse=True)
+        todo = [u for u in need.tolist() if u not in verdict_cache]
+        if todo:
+            rngs = [np.random.default_rng((verdict_base ^ (u * _MIX)) & _MASK) for u in todo]
+            found = classify_batch(oracle, todo, m_bar, t_bar, eps, params.heavy_params, rngs)
+            verdict_cache.update(zip(todo, (verdict for verdict, _ in found)))
+        light = np.array([verdict_cache[u] == LIGHT for u in need.tolist()])[where].reshape(3, -1)
+        # A hit scores only when v is light, split across its light vertices.
+        scored = light[0]
+        ell = light.sum(axis=0)[scored]
+        hit_at = hit_at[scored]
+        y_sum += float(np.sum(np.maximum(dus[hit_at], sqrt_m) / ell / rs[hit_at]))
     return n / (s1 * s2) * sampler.total_degree * y_sum
 
 

@@ -41,7 +41,7 @@ class Graph:
 
     __slots__ = (
         "n", "m", "degrees", "offsets", "targets", "_sorted_targets",
-        "_degrees_view", "_offsets_view", "_sorted_view",
+        "_degrees_view", "_offsets_view", "_sorted_view", "_edge_keys",
     )
 
     def __init__(
@@ -67,6 +67,7 @@ class Graph:
         self._degrees_view = memoryview(degrees)
         self._offsets_view = memoryview(offsets)
         self._sorted_view = memoryview(sorted_targets)
+        self._edge_keys = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
@@ -114,7 +115,11 @@ class Graph:
             raise ValueError(f"edge {k}: {reason}")
         sorted_targets -= row_base
         g = cls(n, m, degrees, offsets, targets, sorted_targets)
-        g._check_invariants()
+        try:
+            # The checks allocate n-sized arrays of their own.
+            g._check_invariants()
+        except MemoryError:
+            raise ValueError(f"vertex count {n} needs more memory than is available") from None
         return g
 
     def _check_invariants(self) -> None:
@@ -154,6 +159,27 @@ class Graph:
         i = bisect_left(row, v, lo, hi)
         # bool(): a numpy-integer v makes the comparison a numpy bool.
         return bool(i < hi and row[i] == v)
+
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """has_edge for each pair (us[k], vs[k]), by one searchsorted.
+
+        The keys source * n + target of the sorted rows are ascending over
+        all 2m slots (within int64 for n <= MAX_VERTICES). They take 16
+        bytes per edge, so they are built on the first call, which the
+        estimator makes and the exact counter does not.
+        """
+        if self._edge_keys is None:
+            rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+            rows *= self.n
+            rows += self._sorted_targets
+            rows.setflags(write=False)
+            self._edge_keys = rows
+        edge_keys = self._edge_keys
+        keys = np.asarray(us, dtype=np.int64) * self.n + np.asarray(vs, dtype=np.int64)
+        at = np.searchsorted(edge_keys, keys)
+        found = at < len(edge_keys)
+        found[found] = edge_keys[at[found]] == keys[found]
+        return found
 
     def precedes(self, u: int, v: int) -> bool:
         """True when u comes before v in the (degree, id) vertex order."""

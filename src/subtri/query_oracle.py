@@ -13,8 +13,8 @@ estimate) is not meant to bound.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -22,30 +22,6 @@ from .graph_store import Graph
 
 # Returned by q_neighbor when the index runs past the degree.
 ABSENT = None
-
-
-def draw_below(rng: random.Random, k: int) -> int:
-    """A uniform int in 0..k-1, the draw rng.randrange(k).
-
-    For an int k > 0, CPython's randrange(k) returns rng._randbelow(k)
-    (random.py; tests/test_query_oracle.py checks that the two streams
-    agree, and CI runs that check on Python 3.10 and 3.12 as well as 3.11).
-    The direct call skips randrange's argument handling, which costs more
-    than a memoized query on the classifier's loop. The scalar index draws
-    (the classifier's edges and probes, and q_random_edge_at) go through
-    here, so this is the one place that relies on the private method; an
-    advice run's s2 stage draws its indices in batches from a numpy
-    Generator instead. k <= 0 raises ValueError as randrange does, where
-    _randbelow(0) never returns.
-    """
-    if k <= 0:
-        raise ValueError(f"no index to draw below {k}")
-    return rng._randbelow(k)
-
-
-def neighbor_index(rng: random.Random, d: int) -> int:
-    """A uniform neighbor index in 1..d, the draw rng.randrange(d) + 1."""
-    return draw_below(rng, d) + 1
 
 
 class BudgetExhausted(RuntimeError):
@@ -88,15 +64,20 @@ class QueryOracle:
     pair memo. The neighbor and pair counts in stats and budget_charged are
     read off the memo, so budget_charged == neighbor + pair holds by
     construction, and stats is O(1) to read.
+
+    The samplers ask in batches: q_degree_batch, q_neighbor_batch and
+    q_pair_batch each charge as their scalar query would on each item in
+    array order, and a trip leaves neighbor + pair == cap. Draws come from
+    numpy Generators only: sample_vertices and q_random_edge_at use the
+    caller's Generator or the oracle's own, seeded from seed.
     """
 
     def __init__(self, graph: Graph, seed: int | None = None, budget: int | None = None):
         self.graph = graph
         self.n = graph.n
-        ss = np.random.SeedSequence(seed)
-        scalar_ss, batch_ss = ss.spawn(2)
-        self._rng = random.Random(int(scalar_ss.generate_state(2, np.uint64)[0]))
-        self._np_rng = np.random.default_rng(batch_ss)
+        # Child 0 once seeded a scalar random.Random; drawing from child 1
+        # keeps every sample_vertices stream as it was.
+        self._np_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
         self._deg_seen = np.zeros(graph.n, dtype=bool)
         # The scalar queries read through memoryviews: indexing one yields a
         # Python int (or bool) at well under half the cost of a numpy scalar
@@ -228,6 +209,7 @@ class QueryOracle:
                 raise self._exhausted()
         return ws
 
+    # The samplers ask q_pair_batch; bench/tracer.py looks this up by name.
     def q_pair(self, u: int, v: int) -> bool:
         """Whether the edge (u, v) exists."""
         if u == v:
@@ -247,13 +229,61 @@ class QueryOracle:
         self._pair_cache[pk] = ans
         return ans
 
+    def q_pair_batch(self, us: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        """Whether the edge (us[k], ws[k]) exists, for each k, charged as
+        q_pair on each pair in array order would charge.
+
+        A ValueError or IndexError (the one q_pair would raise first) is
+        raised before anything is charged. The fresh distinct pairs are
+        charged in order of first occurrence; when the cap leaves room for
+        only some of them, those are charged and BudgetExhausted is raised,
+        so the memo ends as the scalar loop's does at its trip. The fresh
+        pairs' adjacency comes from one Graph.has_edges call.
+        """
+        us = np.asarray(us, dtype=np.int64)
+        ws = np.asarray(ws, dtype=np.int64)
+        if us.shape != ws.shape or us.ndim != 1:
+            raise ValueError("pair ends must be 1-d arrays of one length")
+        if not us.size:
+            return np.zeros(0, dtype=bool)
+        n = self.n
+        bad = (us == ws) | (us < 0) | (us >= n) | (ws < 0) | (ws >= n)
+        if bad.any():
+            k = int(np.argmax(bad))
+            if us[k] == ws[k]:
+                raise ValueError("pair query needs two distinct vertices")
+            raise IndexError("vertex out of range")
+        keys = np.minimum(us, ws) * n + np.maximum(us, ws)
+        cache = self._pair_cache
+        # 1 or 0 for a memoized answer, 2 for a fresh pair.
+        known = np.fromiter(
+            map(cache.get, keys.tolist(), repeat(2)), dtype=np.int8, count=keys.size
+        )
+        out = known == 1
+        fresh = np.flatnonzero(known == 2)
+        if fresh.size:
+            answers = self.graph.has_edges(us[fresh], ws[fresh])
+            # Positions in fresh of each distinct pair's first occurrence.
+            _, first = np.unique(keys[fresh], return_index=True)
+            first.sort()
+            room = first.size if self._cap is None else max(0, self._cap - self.budget_charged)
+            charge = first[:room]
+            cache.update(zip(keys[fresh[charge]].tolist(), answers[charge].tolist()))
+            self._pair_count += charge.size
+            if room < first.size:
+                raise self._exhausted()
+            out[fresh] = answers
+        return out
+
     def sample_vertices(self, k: int, rng: np.random.Generator | None = None) -> np.ndarray:
         """k uniform vertex ids with replacement. Counted per id, never budget-charged."""
         self._vertex_samples += k
         return (rng or self._np_rng).integers(0, self.n, size=k, dtype=np.int64)
 
-    def q_random_edge_at(self, v: int, rng: random.Random | None = None) -> tuple[int, int]:
-        """A uniform random edge (v, x) incident to v.
+    # No caller in the package draws one edge at a time; bench/tracer.py looks this up by name.
+    def q_random_edge_at(self, v: int, rng: np.random.Generator | None = None) -> tuple[int, int]:
+        """A uniform random edge (v, x) incident to v, drawn from rng, or from
+        the Generator sample_vertices uses when rng is None.
 
         Costs one degree query (first time) plus one neighbor query. Raises
         ValueError when v is isolated; callers must rule that out first.
@@ -261,7 +291,7 @@ class QueryOracle:
         d = self.q_degree(v)
         if d == 0:
             raise ValueError(f"vertex {v} is isolated; it has no incident edge")
-        return v, self.q_neighbor(v, neighbor_index(rng or self._rng, d))
+        return v, self.q_neighbor(v, int((rng or self._np_rng).integers(1, d + 1)))
 
     @property
     def stats(self) -> QueryStats:

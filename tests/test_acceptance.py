@@ -11,7 +11,6 @@ criterion 8 runs on its own it regenerates a small evidence set first.
 """
 
 import math
-import random
 import statistics
 import time
 
@@ -267,7 +266,7 @@ def test_criterion_7_classifier_on_planted_hub(capfd):
     good = 0
     for trial in range(50):
         o = QueryOracle(g, seed=trial)
-        rng = random.Random(1000 + trial)
+        rng = np.random.default_rng(1000 + trial)
         hub_heavy = classify_heavy(o, hub, m_bar, t_bar, eps, params, rng).verdict == HEAVY
         light = sum(
             classify_heavy(o, v, m_bar, t_bar, eps, params, rng).verdict == LIGHT

@@ -71,12 +71,10 @@ class TestExact:
         assert main(["exact", "--input", str(bad)]) == 3
         assert "line 1: vertex count 100000000000000001 is over" in capsys.readouterr().err
 
-    def test_vertex_count_past_memory_is_exit_three(self, tmp_path):
-        # An id within MAX_VERTICES whose per-vertex arrays (16 GB each here)
-        # do not fit under a 3 GB address-space limit is bad input, not a bug.
-        bad = tmp_path / "big.edges"
-        bad.write_text("0 2000000000\n")
-        limit = 3_000_000 * 1024
+    @staticmethod
+    def exact_under_memory_limit(path, kib: int) -> subprocess.CompletedProcess:
+        """`subtri exact` on path in a child whose address space is capped at kib KiB."""
+        limit = kib * 1024
 
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
@@ -87,13 +85,31 @@ class TestExact:
             PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
             OPENBLAS_NUM_THREADS="1",
         )
-        proc = subprocess.run(
-            [sys.executable, "-m", "subtri.cli", "exact", "--input", str(bad)],
+        return subprocess.run(
+            [sys.executable, "-m", "subtri.cli", "exact", "--input", str(path)],
             env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
         )
+
+    def test_vertex_count_past_memory_is_exit_three(self, tmp_path):
+        # An id within MAX_VERTICES whose per-vertex arrays (16 GB each here)
+        # do not fit under a 3 GB address-space limit is bad input, not a bug.
+        bad = tmp_path / "big.edges"
+        bad.write_text("0 2000000000\n")
+        proc = self.exact_under_memory_limit(bad, 3_000_000)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == (
             "error: line 1: vertex count 2000000001 needs more memory than is available\n"
+        )
+
+    def test_vertex_count_past_check_memory_is_exit_three(self, tmp_path):
+        # Here the graph's own arrays (128 MB each) fit under 700 MB, and the
+        # invariant checks' n-sized arrays after them do not.
+        bad = tmp_path / "big.edges"
+        bad.write_text("0 16000000\n")
+        proc = self.exact_under_memory_limit(bad, 700_000)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == (
+            "error: line 1: vertex count 16000001 needs more memory than is available\n"
         )
 
 

@@ -3,6 +3,8 @@
 import math
 import random
 import statistics
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,9 @@ from subtri import (
     gen_g1_bipartite,
     gen_g2_matching,
 )
+from subtri import estimator
 from subtri.estimator import RUNS_PER_LEVEL
+from test_acceptance import _expected_advice_estimate
 from util import bowtie_graph, complete_graph, gnp_graph
 
 
@@ -200,6 +204,46 @@ class TestVerdictCache:
         estimate_with_advice(o, 28.0, 56.0, 0.5, params=params, seed=1, verdict_cache=cache)
         for v, verdict in snapshot.items():
             assert cache[v] == verdict
+
+
+class TestBlockRescoring:
+    @pytest.mark.parametrize("profile, runs", [("practical", 2000), ("theoretical", 400)])
+    def test_mean_matches_enumeration_under_mixed_verdicts(self, profile, runs):
+        # Every third vertex of G(30, 0.3) (t = 141, unequal degrees) is
+        # injected as heavy, so a block scores each hit by 1/ell over its
+        # light vertices, and samples whose d_u^2 > m_bar make r > 1 probes.
+        # The mean of X must match the enumerated E[X] (140 here).
+        start = time.perf_counter()
+        g = gnp_graph(30, 0.3, seed=1)
+        t = count_ordered(g).t
+        verdicts = {v: HEAVY if v % 3 == 0 else LIGHT for v in range(g.n)}
+        expected = _expected_advice_estimate(g, verdicts.__getitem__)
+        params = getattr(EstimatorParams, profile)()
+        probes_per_sample, light_per_scored_hit = set(), set()
+        closing_hits = estimator.closing_hits
+
+        def spy(oracle, vs, xs, dvs, dxs, samples, idxs):
+            hit_at, ws = closing_hits(oracle, vs, xs, dvs, dxs, samples, idxs)
+            probes_per_sample.update(np.bincount(samples).tolist())
+            for v, x, w in zip(vs[hit_at].tolist(), xs[hit_at].tolist(), ws.tolist()):
+                if verdicts[v] == LIGHT:
+                    light_per_scored_hit.add(sum(verdicts[u] == LIGHT for u in (v, x, w)))
+            return hit_at, ws
+
+        xs = []
+        with mock.patch.object(estimator, "closing_hits", spy):
+            for seed in range(runs):
+                o = fresh_oracle(g, seed=seed)
+                xs.append(estimate_with_advice(
+                    o, float(g.m), float(t), 0.5, params, seed=seed, verdict_cache=dict(verdicts)
+                ))
+        assert max(probes_per_sample) > 1
+        assert {1, 2} <= light_per_scored_hit
+        assert expected not in (0.0, float(t))
+        mean = statistics.fmean(xs)
+        se = statistics.stdev(xs) / math.sqrt(runs)
+        assert abs(mean - expected) <= 4 * se, (mean, se, expected)
+        assert time.perf_counter() - start < 30.0
 
 
 class TestFeige:

@@ -17,7 +17,6 @@ and a triangle-free graph.
 
 import hashlib
 import json
-import random
 
 import numpy as np
 import pytest
@@ -135,7 +134,8 @@ CLASSIFY_CASES = [
 
 def run_classify(name, v, m_bar, t_bar, fields, seed) -> dict:
     oracle = QueryOracle(GRAPHS[name](), seed=0)
-    hv = classify_heavy(oracle, v, m_bar, t_bar, 0.5, HeavyParams(**fields), random.Random(seed))
+    rng = np.random.default_rng(seed)
+    hv = classify_heavy(oracle, v, m_bar, t_bar, 0.5, HeavyParams(**fields), rng)
     return {"verdict": hv.verdict, "medians": list(hv.medians), "queries_used": hv.queries_used}
 
 
@@ -181,45 +181,46 @@ def run_exact_cli(tmp_path, capsys) -> dict:
     return digests
 
 
-# Recorded from the batched s2 stage: one numpy Generator per advice run.
-GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 8876.380997404745,
+# Recorded from the batched classifier: one numpy Generator per classified
+# vertex, and one classifier call per block of an advice run's samples.
+GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 9153.767903573647,
                           'queries': {'degree': 256,
-                                      'neighbor': 8113,
-                                      'pair': 3089,
+                                      'neighbor': 8196,
+                                      'pair': 3094,
                                       'vertex_samples': 25288,
-                                      'total': 11458},
+                                      'total': 11546},
                           'runs': 26,
                           't_bar': 4096.0,
                           'fallback_used': False,
                           'fallback_reason': None},
- ('skewed', None, 0): {'estimate': 33708.42444387377,
+ ('skewed', None, 0): {'estimate': 22354.445269847376,
                        'queries': {'degree': 2000,
-                                   'neighbor': 8368,
-                                   'pair': 3416,
-                                   'vertex_samples': 109593,
-                                   'total': 13784},
-                       'runs': 38,
-                       't_bar': 30517.578125,
+                                   'neighbor': 13157,
+                                   'pair': 5302,
+                                   'vertex_samples': 120295,
+                                   'total': 20459},
+                       'runs': 40,
+                       't_bar': 15258.7890625,
                        'fallback_used': False,
                        'fallback_reason': None},
  ('k40', None, 0): {'estimate': 9880.0,
                     'queries': {'degree': 40,
-                                'neighbor': 1226,
-                                'pair': 334,
-                                'vertex_samples': 5115,
+                                'neighbor': 1307,
+                                'pair': 253,
+                                'vertex_samples': 5204,
                                 'total': 1600},
-                    'runs': 7,
+                    'runs': 8,
                     't_bar': None,
                     'fallback_used': True,
                     'fallback_reason': 'budget'},
- ('gnp', None, 1): {'estimate': 34604.52776338083,
+ ('gnp', None, 1): {'estimate': 32117.626953601586,
                     'queries': {'degree': 200,
-                                'neighbor': 6086,
-                                'pair': 3459,
-                                'vertex_samples': 18357,
-                                'total': 9745},
-                    'runs': 20,
-                    't_bar': 15625.0,
+                                'neighbor': 3759,
+                                'pair': 2085,
+                                'vertex_samples': 17589,
+                                'total': 6044},
+                    'runs': 18,
+                    't_bar': 31250.0,
                     'fallback_used': False,
                     'fallback_reason': None},
  ('clique-n3000', None, 1): {'estimate': 120.0,
@@ -254,8 +255,8 @@ GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 8876.380997404745,
                                    'fallback_reason': 'descent_exhausted'},
  ('skewed', 3000, 3): {'estimate': 33741.0,
                        'queries': {'degree': 2000,
-                                   'neighbor': 2122,
-                                   'pair': 878,
+                                   'neighbor': 2182,
+                                   'pair': 818,
                                    'vertex_samples': 91681,
                                    'total': 5000},
                        'runs': 32,
@@ -264,92 +265,177 @@ GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 8876.380997404745,
                        'fallback_reason': 'budget'},
  ('gnp', 40, 1): {'estimate': 36421.0,
                   'queries': {'degree': 200,
-                              'neighbor': 27,
-                              'pair': 13,
+                              'neighbor': 37,
+                              'pair': 3,
                               'vertex_samples': 15217,
                               'total': 240},
                   'runs': 3,
                   't_bar': None,
                   'fallback_used': True,
                   'fallback_reason': 'budget'}}
-GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [245.96721311475392],
+GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [245.96721311475403],
                                              'stats': {'degree': 12,
                                                        'neighbor': 132,
-                                                       'pair': 5,
+                                                       'pair': 7,
                                                        'vertex_samples': 32,
-                                                       'total': 149},
+                                                       'total': 151},
                                              'heavy': [],
                                              'light': [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]},
  ('k40', 780.0, 16000.0, 'practical', (1, 2)): {'values': [10140.0, 3380.0],
                                                 'stats': {'degree': 40,
-                                                          'neighbor': 403,
-                                                          'pair': 183,
+                                                          'neighbor': 402,
+                                                          'pair': 124,
                                                           'vertex_samples': 112,
-                                                          'total': 626},
-                                                'heavy': [32, 34],
-                                                'light': [12, 13, 15, 28, 29, 37]},
+                                                          'total': 566},
+                                                'heavy': [29, 32],
+                                                'light': [12, 13, 15, 28, 34, 37]},
  ('wheel', 99.0, 81.0, 'practical', (3, 4)): {'values': [28.988970588235293, 59.375],
                                               'stats': {'degree': 19,
-                                                        'neighbor': 155,
-                                                        'pair': 40,
+                                                        'neighbor': 154,
+                                                        'pair': 41,
                                                         'vertex_samples': 256,
                                                         'total': 214},
                                               'heavy': [18],
                                               'light': [0, 1, 4, 10, 13, 17]},
- ('skewed', 18000.0, 30000.0, 'practical', (4, 5)): {'values': [40510.51981152123,
-                                                                40318.01552380513],
-                                                     'stats': {'degree': 1987,
-                                                               'neighbor': 4124,
-                                                               'pair': 1659,
+ ('skewed', 18000.0, 30000.0, 'practical', (4, 5)): {'values': [36954.77960010634,
+                                                                41469.95882448528],
+                                                     'stats': {'degree': 1982,
+                                                               'neighbor': 4141,
+                                                               'pair': 1645,
                                                                'vertex_samples': 8542,
-                                                               'total': 7770},
-                                                     'heavy': [0, 1, 3, 5, 6, 7, 8, 10, 12, 15],
-                                                     'light': [2, 4, 9, 13, 16, 19, 21, 22, 25, 26,
-                                                               29, 32, 34, 36, 39, 43, 47, 48, 54,
-                                                               55, 56, 58, 65, 66, 72, 74, 85, 93,
-                                                               108, 109, 139, 147, 149, 182, 183,
-                                                               185, 187, 197, 218, 253, 275, 284,
-                                                               291, 304, 314, 336, 399, 422, 447,
-                                                               454, 507, 567, 716, 940, 1127, 1547,
+                                                               'total': 7768},
+                                                     'heavy': [0,
+                                                               1,
+                                                               2,
+                                                               3,
+                                                               5,
+                                                               6,
+                                                               7,
+                                                               8,
+                                                               9,
+                                                               10,
+                                                               12,
+                                                               13,
+                                                               21,
+                                                               25],
+                                                     'light': [4,
+                                                               15,
+                                                               16,
+                                                               19,
+                                                               22,
+                                                               26,
+                                                               29,
+                                                               32,
+                                                               34,
+                                                               36,
+                                                               39,
+                                                               43,
+                                                               47,
+                                                               48,
+                                                               54,
+                                                               55,
+                                                               56,
+                                                               58,
+                                                               65,
+                                                               66,
+                                                               72,
+                                                               74,
+                                                               85,
+                                                               93,
+                                                               108,
+                                                               109,
+                                                               139,
+                                                               147,
+                                                               149,
+                                                               182,
+                                                               183,
+                                                               185,
+                                                               187,
+                                                               197,
+                                                               218,
+                                                               253,
+                                                               275,
+                                                               284,
+                                                               291,
+                                                               304,
+                                                               314,
+                                                               336,
+                                                               399,
+                                                               422,
+                                                               447,
+                                                               454,
+                                                               507,
+                                                               567,
+                                                               716,
+                                                               940,
+                                                               1127,
+                                                               1547,
                                                                1895]},
  ('gnp', 6000.0, 30000.0, 'practical', (6,)): {'values': [35436.87249463765],
-                                               'stats': {'degree': 198,
-                                                         'neighbor': 961,
-                                                         'pair': 545,
+                                               'stats': {'degree': 200,
+                                                         'neighbor': 977,
+                                                         'pair': 515,
                                                          'vertex_samples': 309,
-                                                         'total': 1704},
+                                                         'total': 1692},
                                                'heavy': [],
-                                               'light': [7, 15, 21, 29, 30, 37, 49, 59, 64, 68, 78,
-                                                         79, 83, 92, 96, 146, 160, 164, 165, 169,
-                                                         170, 178, 194]}}
+                                               'light': [7,
+                                                         15,
+                                                         21,
+                                                         29,
+                                                         30,
+                                                         37,
+                                                         49,
+                                                         59,
+                                                         64,
+                                                         68,
+                                                         78,
+                                                         79,
+                                                         83,
+                                                         92,
+                                                         96,
+                                                         146,
+                                                         160,
+                                                         164,
+                                                         165,
+                                                         169,
+                                                         170,
+                                                         178,
+                                                         194]}}
 GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
-                                'medians': [78.19672131147541, 84.8360655737705,
-                                            78.56557377049181, 81.14754098360656,
-                                            91.10655737704919],
-                                'queries_used': 229},
+                                'medians': [80.04098360655738,
+                                            76.35245901639344,
+                                            90.3688524590164,
+                                            84.8360655737705,
+                                            81.88524590163935],
+                                'queries_used': 217},
  ('wheel', 0, 99.0, 81.0, 2): {'verdict': 'light',
-                               'medians': [9.01639344262295, 10.860655737704919,
-                                           9.426229508196721, 8.19672131147541,
-                                           9.836065573770492],
+                               'medians': [8.19672131147541,
+                                           11.270491803278688,
+                                           10.860655737704919,
+                                           8.60655737704918,
+                                           9.426229508196721],
                                'queries_used': 66},
  ('wheel', 18, 99.0, 10000.0, 0): {'verdict': 'heavy', 'medians': [], 'queries_used': 1},
  ('k40', 3, 780.0, 4000.0, 3): {'verdict': 'heavy',
-                                'medians': [795.0681818181819, 587.6590909090909,
-                                            587.6590909090909, 622.2272727272727],
-                                'queries_used': 230},
+                                'medians': [933.3409090909091,
+                                            622.2272727272727,
+                                            829.6363636363636,
+                                            725.9318181818181],
+                                'queries_used': 233},
  ('skewed', 0, 18000.0, 30000.0, 4): {'verdict': 'heavy',
-                                      'medians': [5683.188118811881, 4647.6732673267325,
-                                                  5007.564356435643],
-                                      'queries_used': 1017},
+                                      'medians': [4395.970297029703,
+                                                  4369.475247524752,
+                                                  3656.3168316831684],
+                                      'queries_used': 999},
  ('skewed', 1500, 18000.0, 30000.0, 5): {'verdict': 'light',
                                          'medians': [0.0, 0.0, 0.0],
                                          'queries_used': 6},
  ('gnp', 10, 6000.0, 30000.0, 6): {'verdict': 'light',
-                                   'medians': [908.9, 518.5, 186.05],
-                                   'queries_used': 174}}
-GOLDEN_CLI = {'estimate-json': '9c8fc3f9142d7c4ef5d79dd4883b3e98f5a43d055cc0828a24db2f14d5348a66',
- 'estimate-plain': '0d7677d3473abb5ec919c64d99c12e34d8774bee318e482e41c8c6aef7da9ec0',
- 'bench-csv': 'cdfede004d272a7da8cddd1ce85759dbca586fa9db789f9d505639f4a9ccbc08'}
+                                   'medians': [1573.8, 356.85, 689.3],
+                                   'queries_used': 171}}
+GOLDEN_CLI = {'estimate-json': '289532fe83761586427e1f8c4a60f9b2d54cd59edfb06682be106dad21495c00',
+ 'estimate-plain': 'b56433584e6a9912bd15db62f00505b8b227ef708064aa2798b53febef23e300',
+ 'bench-csv': 'e85aed857df5718130a8ebab313a9f82790b167f79869f977b7f2971061d9eaf'}
 
 # Recorded from the revision before the vectorized exact counter.
 GOLDEN_EXACT_CLI = {

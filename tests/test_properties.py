@@ -1,5 +1,5 @@
-"""Property tests: oracle metering, batched neighbor queries, degree-weighted
-draws, graph storage, and the exact counters against networkx."""
+"""Property tests: oracle metering, batched neighbor and pair queries,
+degree-weighted draws, graph storage, and the exact counters against networkx."""
 
 from bisect import bisect_right
 from unittest import mock
@@ -254,6 +254,80 @@ class TestNeighborBatch:
         assert observed_memo(ours) == observed_memo(ref)
 
 
+@st.composite
+def pair_batch_cases(draw):
+    """(graph, scalar queries asked first, (u, w) pairs for one batch, cap).
+
+    The batch holds a few distinct pairs, most of them repeated, in any
+    order, and the first queries' neighbor answers reveal some of them. One case in eight
+    carries a bad pair (equal ends or an end out of range). The cap is None,
+    any value from 0 up, below or above what the first queries charge, or
+    ("room", k): k more than they charge, so that the batch often trips
+    part way.
+    """
+    g, queries = draw(graph_and_queries())
+    vertex = st.integers(0, g.n - 1)
+    distinct_pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    pool = draw(st.lists(distinct_pair, min_size=1, max_size=8, unique=True))
+    repeats = draw(st.lists(st.sampled_from(pool), max_size=20))
+    pairs = draw(st.permutations(pool + repeats))
+    if draw(st.integers(0, 7)) == 7:
+        bad = draw(st.sampled_from([(0, 0), (g.n - 1, g.n - 1), (-1, 0), (0, g.n), (g.n + 3, 1)]))
+        pairs.insert(draw(st.integers(0, len(pairs))), bad)
+    room = st.integers(1, 8).map(lambda k: ("room", k))
+    cap = draw(st.one_of(room, st.integers(0, 40), st.none()))
+    return g, queries, pairs, cap
+
+
+def first_bad_query_error(n: int, pairs):
+    """The error the scalar q_pair loop meets first, or None."""
+    for u, w in pairs:
+        if u == w:
+            return ValueError
+        if not (0 <= u < n and 0 <= w < n):
+            return IndexError
+    return None
+
+
+class TestPairBatch:
+    @given(pair_batch_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_loop(self, case):
+        # The reference is q_pair called on each pair in array order.
+        g, queries, pairs, cap = case
+        ours, ref = QueryOracle(g, seed=0), QueryOracle(g, seed=0)
+        for oracle in (ours, ref):
+            for q in queries:
+                ask(oracle, q)
+            oracle.set_budget(oracle.budget_charged + cap[1] if isinstance(cap, tuple) else cap)
+        us = np.array([u for u, _ in pairs], dtype=np.int64)
+        ws = np.array([w for _, w in pairs], dtype=np.int64)
+        error = first_bad_query_error(g.n, pairs)
+        if error is not None:
+            # Bad input raises before anything is charged, where the scalar
+            # loop would have charged the pairs ahead of the bad one.
+            with pytest.raises(error):
+                ours.q_pair_batch(us, ws)
+        else:
+            want, ref_tripped = [], False
+            for u, w in pairs:
+                try:
+                    want.append(ref.q_pair(u, w))
+                except BudgetExhausted:
+                    ref_tripped = True
+                    break
+            try:
+                got = ours.q_pair_batch(us, ws).tolist()
+            except BudgetExhausted:
+                assert ref_tripped
+            else:
+                assert not ref_tripped
+                assert got == want
+        assert ours.stats == ref.stats
+        assert ours.budget_charged == ref.budget_charged
+        assert observed_memo(ours) == observed_memo(ref)
+
+
 class TestGraphStorage:
     @given(edge_lists(min_n=0, max_n=16))
     @settings(max_examples=150, deadline=None)
@@ -275,6 +349,16 @@ class TestGraphStorage:
         for u in range(n):
             for v in range(n):
                 assert g.has_edge(u, v) == (frozenset((u, v)) in present)
+
+    @given(edge_lists(min_n=1, max_n=16), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_has_edges_agrees_with_has_edge(self, case, data):
+        g = Graph.from_edges(*case)
+        vertex = st.integers(0, g.n - 1)
+        pairs = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+        us = np.array([u for u, _ in pairs], dtype=np.int64)
+        vs = np.array([v for _, v in pairs], dtype=np.int64)
+        assert g.has_edges(us, vs).tolist() == [g.has_edge(u, v) for u, v in pairs]
 
 
 def first_bad_pair(n: int, edges) -> tuple[int, str] | None:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from subtri import ABSENT, BudgetExhausted, Graph, QueryOracle
-from subtri.query_oracle import draw_below, neighbor_index
 from util import complete_graph, gnp_graph
 
 
@@ -217,7 +216,7 @@ class TestBudget:
     def test_random_edge_propagates_exhaustion(self):
         o = triangle_oracle(budget=0)
         with pytest.raises(BudgetExhausted):
-            o.q_random_edge_at(0, random.Random(0))
+            o.q_random_edge_at(0, np.random.default_rng(0))
 
 
 class TestSampling:
@@ -272,7 +271,7 @@ class TestRandomEdge:
     def test_incident_edges_drawn_uniformly(self):
         o = QueryOracle(complete_graph(3), seed=7)
         draws = 10_000
-        rng = random.Random(99)
+        rng = np.random.default_rng(99)
         counts = {1: 0, 2: 0}
         for _ in range(draws):
             v, x = o.q_random_edge_at(0, rng)
@@ -284,30 +283,9 @@ class TestRandomEdge:
 
     def test_costs_are_memoized_across_draws(self):
         o = QueryOracle(complete_graph(4), seed=0)
-        rng = random.Random(3)
+        rng = np.random.default_rng(3)
         for _ in range(200):
             o.q_random_edge_at(1, rng)
         s = o.stats
         assert s.degree == 1
         assert s.neighbor <= 3
-
-    def test_draw_below_draws_as_randrange(self):
-        # Seeded outputs rest on draw_below(rng, k) == rng.randrange(k), for
-        # neighbor indices and for the degree-weighted sampler's positions.
-        ours, ref = random.Random(11), random.Random(11)
-        for k in [1, 2, 3, 5, 64, 1000, 2**31 + 11, 2**53 + 5, 2**70 + 1]:
-            for _ in range(200):
-                assert draw_below(ours, k) == ref.randrange(k)
-        assert ours.random() == ref.random()
-
-    def test_neighbor_index_draws_as_randrange(self):
-        # Seeded outputs rest on neighbor_index(rng, d) == rng.randrange(d) + 1.
-        ours, ref = random.Random(5), random.Random(5)
-        for d in [1, 2, 3, 7, 64, 1000, 2**31 + 11]:
-            for _ in range(200):
-                assert neighbor_index(ours, d) == ref.randrange(d) + 1
-
-    @pytest.mark.parametrize("d", [0, -3])
-    def test_neighbor_index_rejects_empty_range(self, d):
-        with pytest.raises(ValueError):
-            neighbor_index(random.Random(0), d)
