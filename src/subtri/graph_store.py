@@ -41,7 +41,7 @@ class Graph:
 
     __slots__ = (
         "n", "m", "degrees", "offsets", "targets", "_sorted_targets",
-        "_degrees_view", "_offsets_view", "_sorted_view", "_edge_keys",
+        "_degrees_view", "_offsets_view", "_sorted_view", "_edge_keys", "_slot_map",
     )
 
     def __init__(
@@ -68,6 +68,7 @@ class Graph:
         self._offsets_view = memoryview(offsets)
         self._sorted_view = memoryview(sorted_targets)
         self._edge_keys = None
+        self._slot_map = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
@@ -161,25 +162,40 @@ class Graph:
         return bool(i < hi and row[i] == v)
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """has_edge for each pair (us[k], vs[k]), by one searchsorted.
+        """has_edge for each pair (us[k], vs[k]), by one edge_slots lookup."""
+        return self.edge_slots(us, vs) >= 0
+
+    def edge_slots(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """The stored slot of vs[k] in us[k]'s row, for each k, or -1 where
+        (us[k], vs[k]) is no edge; by one searchsorted.
 
         The keys source * n + target of the sorted rows are ascending over
-        all 2m slots (within int64 for n <= MAX_VERTICES). They take 16
-        bytes per edge, so they are built on the first call, which the
-        estimator makes and the exact counter does not.
+        all 2m slots (within int64 for n <= MAX_VERTICES), and a map takes
+        each key's position to its slot in stored order. Keys and map take
+        16 bytes per edge each, so they are built on the first call, which
+        the estimator makes and the exact counter does not.
         """
-        if self._edge_keys is None:
+        if self._slot_map is None:
             rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
             rows *= self.n
+            # Each row's stored order, sorted by target: rows are contiguous,
+            # so one sort of the stored keys sorts within each row.
+            slot_map = np.argsort(rows + self.targets, kind="stable")
             rows += self._sorted_targets
-            rows.setflags(write=False)
-            self._edge_keys = rows
+            for arr in (rows, slot_map):
+                arr.setflags(write=False)
+            self._edge_keys, self._slot_map = rows, slot_map
         edge_keys = self._edge_keys
         keys = np.asarray(us, dtype=np.int64) * self.n + np.asarray(vs, dtype=np.int64)
-        at = np.searchsorted(edge_keys, keys)
-        found = at < len(edge_keys)
-        found[found] = edge_keys[at[found]] == keys[found]
-        return found
+        if not len(edge_keys):
+            return np.full(keys.shape, -1, dtype=np.int64)
+        # Searching in key order walks edge_keys forward, with far fewer
+        # cache misses than a search in the callers' random order.
+        order = np.argsort(keys)
+        at = np.empty_like(order)
+        at[order] = np.searchsorted(edge_keys, keys[order])
+        np.minimum(at, len(edge_keys) - 1, out=at)
+        return np.where(edge_keys[at] == keys, self._slot_map[at], -1)
 
     def precedes(self, u: int, v: int) -> bool:
         """True when u comes before v in the (degree, id) vertex order."""

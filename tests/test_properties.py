@@ -1,5 +1,6 @@
-"""Property tests: oracle metering, batched neighbor and pair queries,
-degree-weighted draws, graph storage, and the exact counters against networkx."""
+"""Property tests: oracle metering, batched neighbor and pair queries against
+a dict-memo reference, degree-weighted draws, graph storage and its slot
+lookup, and the exact counters against networkx."""
 
 from bisect import bisect_right
 from unittest import mock
@@ -7,7 +8,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subtri import (
@@ -15,6 +16,7 @@ from subtri import (
     DegreeWeightedSampler,
     Graph,
     QueryOracle,
+    QueryStats,
     count_brute,
     count_ordered,
     exact,
@@ -222,6 +224,150 @@ def observed_memo(oracle: QueryOracle) -> list:
     return out
 
 
+class DictMemoOracle:
+    """QueryOracle's charging with its pair memo as a dict, scalar only.
+
+    A neighbor answer seeds the dict with its pair, and a pair query is
+    charged the first time its pair is asked and not in the dict. Batches
+    are scalar loops in array order. Adjacency comes from Graph.has_edge.
+    """
+
+    def __init__(self, graph: Graph):
+        self.graph = graph
+        self.budget_cap = None
+        self._degrees: set[int] = set()
+        self._slots: set[tuple[int, int]] = set()
+        self._pairs: dict[frozenset, bool] = {}
+        self._pair_count = 0
+
+    def set_budget(self, cap) -> None:
+        self.budget_cap = cap
+
+    @property
+    def budget_charged(self) -> int:
+        return len(self._slots) + self._pair_count
+
+    @property
+    def stats(self) -> QueryStats:
+        return QueryStats(degree=len(self._degrees), neighbor=len(self._slots), pair=self._pair_count)
+
+    def _charge(self) -> None:
+        if self.budget_cap is not None and self.budget_charged >= self.budget_cap:
+            raise BudgetExhausted("reference budget exhausted")
+
+    def q_degree(self, v: int) -> int:
+        self._degrees.add(v)
+        return self.graph.degree(v)
+
+    def q_neighbor(self, v: int, i: int):
+        if (v, i) not in self._slots:
+            self._charge()
+            self._slots.add((v, i))
+        if i > self.graph.degree(v):
+            return None
+        w = int(self.graph.neighbors(v)[i - 1])
+        self._pairs[frozenset((v, w))] = True
+        return w
+
+    def q_pair(self, u: int, w: int) -> bool:
+        if u == w:
+            raise ValueError("pair query needs two distinct vertices")
+        if not (0 <= u < self.graph.n and 0 <= w < self.graph.n):
+            raise IndexError("vertex out of range")
+        key = frozenset((u, w))
+        if key not in self._pairs:
+            self._charge()
+            self._pair_count += 1
+            self._pairs[key] = self.graph.has_edge(u, w)
+        return self._pairs[key]
+
+    def q_neighbor_batch(self, vs, idxs) -> list:
+        return [self.q_neighbor(v, i) for v, i in zip(vs, idxs)]
+
+    def q_pair_batch(self, us, ws) -> list:
+        return [self.q_pair(u, w) for u, w in zip(us, ws)]
+
+
+@st.composite
+def interleavings(draw):
+    """(graph, operations): single and batched neighbor and pair queries in
+    any order, with cap changes between them.
+
+    Pairs and slots come from small pools, so they repeat within and across
+    operations; most pairs are edges, in either orientation, so neighbor
+    answers reveal many of them. A ("cap", k) sets the cap to k more than
+    the charge so far and ("cap", None) lifts it. A batch carries such a k
+    (or None, to keep the cap) of its own, set just before it runs, so
+    that batches often trip part way.
+    """
+    g = draw(graphs())
+    vertex = st.integers(0, g.n - 1)
+    pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    edges = [(u, int(w)) for u in range(g.n) for w in g.neighbors(u)]
+    if edges:
+        pair = st.one_of(pair, st.sampled_from(edges), st.sampled_from(edges))
+    pairs = draw(st.lists(pair, min_size=1, max_size=10))
+    room = st.one_of(st.none(), st.integers(0, 4))
+    ops = [
+        st.tuples(st.just("neighbor"), vertex, st.integers(1, g.n)),
+        st.tuples(st.just("pair"), st.sampled_from(pairs)),
+        st.tuples(st.just("pair_batch"), st.lists(st.sampled_from(pairs), max_size=14), room),
+        st.tuples(st.just("cap"), st.one_of(st.none(), st.integers(0, 6))),
+    ]
+    slots = [(v, i) for v in range(g.n) for i in range(1, g.degree(v) + 1)]
+    if slots:
+        pool = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=8))
+        ops.append(st.tuples(st.just("neighbor_batch"), st.lists(st.sampled_from(pool), max_size=14), room))
+    return g, draw(st.lists(st.one_of(ops), max_size=30))
+
+
+def run_op(oracle, op):
+    """The answers of one interleavings operation, as a list."""
+    kind = op[0]
+    if kind == "neighbor":
+        return [oracle.q_neighbor(op[1], op[2])]
+    if kind == "pair":
+        return [oracle.q_pair(*op[1])]
+    ends = np.array(op[1], dtype=np.int64).reshape(-1, 2)
+    if kind == "pair_batch":
+        return list(oracle.q_pair_batch(ends[:, 0], ends[:, 1]))
+    return list(oracle.q_neighbor_batch(ends[:, 0], ends[:, 1]))
+
+
+def set_room(oracles, k) -> None:
+    """Cap every oracle at k more than the first one's charge, or lift the
+    cap when k is None."""
+    cap = None if k is None else oracles[0].budget_charged + k
+    for oracle in oracles:
+        oracle.set_budget(cap)
+
+
+class TestDictMemoReference:
+    @given(interleavings())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict_memo(self, case):
+        # Answers, stats, the charge and every trip match the dict memo's,
+        # after every operation.
+        g, ops = case
+        ours, ref = QueryOracle(g, seed=0), DictMemoOracle(g)
+        for op in ops:
+            if op[0] == "cap":
+                set_room((ours, ref), op[1])
+                continue
+            if op[0].endswith("_batch") and op[2] is not None:
+                set_room((ours, ref), op[2])
+            outcomes = []
+            for oracle in (ours, ref):
+                try:
+                    outcomes.append([bool(a) if isinstance(a, np.bool_) else a for a in run_op(oracle, op)])
+                except BudgetExhausted:
+                    outcomes.append("tripped")
+            assert outcomes[0] == outcomes[1]
+            assert ours.stats == ref.stats
+            assert ours.budget_charged == ref.budget_charged
+        assert observed_memo(ours) == observed_memo(ref)
+
+
 class TestNeighborBatch:
     @given(batch_cases())
     @settings(max_examples=300, deadline=None)
@@ -293,9 +439,10 @@ class TestPairBatch:
     @given(pair_batch_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_loop(self, case):
-        # The reference is q_pair called on each pair in array order.
+        # The reference is the dict memo's q_pair called on each pair in
+        # array order.
         g, queries, pairs, cap = case
-        ours, ref = QueryOracle(g, seed=0), QueryOracle(g, seed=0)
+        ours, ref = QueryOracle(g, seed=0), DictMemoOracle(g)
         for oracle in (ours, ref):
             for q in queries:
                 ask(oracle, q)
@@ -359,6 +506,25 @@ class TestGraphStorage:
         us = np.array([u for u, _ in pairs], dtype=np.int64)
         vs = np.array([v for _, v in pairs], dtype=np.int64)
         assert g.has_edges(us, vs).tolist() == [g.has_edge(u, v) for u, v in pairs]
+
+    @given(padded_graphs())
+    @example(Graph.from_edges(0, []))
+    @example(Graph.from_edges(1, []))
+    @example(Graph.from_edges(5, [(3, 1)]))
+    @settings(max_examples=150, deadline=None)
+    def test_edge_slots_match_brute_force(self, g):
+        # Every ordered pair, equal ends included, in one call.
+        us = np.repeat(np.arange(g.n, dtype=np.int64), g.n)
+        ws = np.tile(np.arange(g.n, dtype=np.int64), g.n)
+        slots = g.edge_slots(us, ws).tolist()
+        for u, w, slot in zip(us.tolist(), ws.tolist(), slots):
+            lo, hi = int(g.offsets[u]), int(g.offsets[u + 1])
+            row = g.targets[lo:hi].tolist()
+            if w in row:
+                assert lo <= slot < hi
+                assert g.targets[slot] == w
+            else:
+                assert slot == -1
 
 
 def first_bad_pair(n: int, edges) -> tuple[int, str] | None:
