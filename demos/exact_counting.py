@@ -1,7 +1,8 @@
 """Exact triangle counting on small graphs.
 
-Counts triangles two ways (brute-force triple scan and the ordered
-edge-iterator) on a few hand-built graphs plus a random one, then checks
+Counts triangles two ways (a brute-force scan of id-ordered triples, and the
+forward-edge kernel that walks the shorter successor row per edge of the
+(degree, id) order) on a few hand-built graphs plus a random one, then checks
 the bookkeeping identities that every count must satisfy.
 
 Usage: python3 demos/exact_counting.py

@@ -2,9 +2,14 @@
 
 Two independent counters are provided on purpose. count_brute enumerates id-
 ordered triples from edge neighborhood intersections on Python sets;
-count_ordered is one numpy forward-wedge kernel over the (degree, id) vertex
-order that finds each triangle at its order-minimal vertex. Tests play them
-against each other, so the two must not share counting logic.
+count_ordered is one numpy kernel over the forward edges of the (degree, id)
+vertex order that finds each triangle at its order-minimal vertex. For each
+forward edge u -> w1 it walks the shorter of two rows, u's successors after
+w1 or w1's successors, and searches for the edge that closes a triangle with
+each walked vertex. Its work is the shorter row's length summed over forward
+edges, not the C(d+(u), 2) forward wedges of each vertex u. Either walk
+closes the same triangles, so the choice moves no count. Tests play the two
+counters against each other, so they must not share counting logic.
 
 Both produce the same decomposition: t_v[v] is the number of triangles
 containing v, and t_e[(v, x)] counts the triangles through v that are charged
@@ -24,8 +29,8 @@ import numpy as np
 from .graph_store import Graph
 from .heavy import BORDERLINE, HEAVY, LIGHT, degree_cutoff, heavy_tv_cutoff, light_tv_cutoff
 
-# Wedges closed per pass of count_ordered. Each pass holds about eight int64
-# temporaries of this length (16 MiB), whatever the graph's wedge total.
+# Probes searched per pass of count_ordered. Each pass holds up to five int64
+# temporaries of this length (2 MiB each), whatever the graph's probe total.
 _WEDGE_CHUNK = 1 << 18
 
 
@@ -103,70 +108,130 @@ def count_brute(graph: Graph) -> TriangleStats:
 
 
 def count_ordered(graph: Graph) -> TriangleStats:
-    """Exact count by closing forward wedges in the (degree, id) order.
+    """Exact count by probing the forward edges of the (degree, id) order.
 
     A slot u -> w is forward when w ranks after u. The forward slots, sorted
-    by (rank u, rank w), list each vertex's successors in ascending rank.
-    Every pair w1 < w2 of u's successors is a wedge, enumerated by index
-    arithmetic over those sorted positions; it closes a triangle exactly
-    when w1 -> w2 is itself a forward slot, which a searchsorted on the
-    sorted forward keys decides. So each triangle is found once, at its
-    order-minimal vertex u, and charged to the slots u -> w1, w1 -> u and
-    w2 -> u by bincount. Wedges are closed _WEDGE_CHUNK at a time, so
-    memory stays bounded however many there are (up to the sum over u of
-    succ(u)^2 / 2, with succ(u) <= sqrt(2m)).
+    by (rank u, rank w), list each vertex's successors in ascending rank: its
+    forward row. A triangle u < w1 < w2 is found once, at the forward
+    position p = (u -> w1), in one of two ways:
+
+    - the u side walks u's row after p and, for each w2 there, searches the
+      sorted forward keys for w1 -> w2;
+    - the w1 side walks w1's row and, for each w2 there, searches for
+      u -> w2.
+
+    Each position takes the shorter walk: the u side when later_p, the
+    number of u's positions after p, is at most out_p, the length of w1's
+    row, and the w1 side otherwise. Both sides close exactly the triangles
+    u < w1 < w2 on the edge u -> w1, so the side changes the work, the sum
+    over p of min(later_p, out_p) probes instead of the sum over u of
+    C(d+(u), 2) wedges, and not the result. A closed probe charges the
+    slots u -> w1 (hit_1), w1 -> u, and w2 -> u (hit_2 at the position
+    u -> w2: the walked one on the u side, the found one on the w1 side).
+    Probes run _WEDGE_CHUNK at a time, so memory stays bounded however
+    many there are; arrays are freed once spent, for the same reason.
     """
     n, offsets, targets = graph.n, graph.offsets, graph.targets
-    t_e_slots = np.zeros(len(targets), dtype=np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    # A stable sort by degree breaks degree ties by id.
-    rank[np.argsort(graph.degrees, kind="stable")] = np.arange(n, dtype=np.int64)
-    src_rank = np.repeat(rank, graph.degrees)
+    try:
+        # The n-sized arrays, allocated together. Past the memory the graph's
+        # own arrays left, n is too large, as Graph.from_edges reports it.
+        # np.repeat copies the read-only degrees, one more of them.
+        rank = np.empty(n, dtype=np.int64)
+        # A stable sort by degree breaks degree ties by id.
+        rank[np.argsort(graph.degrees, kind="stable")] = np.arange(n, dtype=np.int64)
+        src_rank = np.repeat(rank, graph.degrees)
+        row_bounds = np.zeros(n + 1, dtype=np.int64)
+    except MemoryError:
+        raise ValueError(f"vertex count {n} needs more memory than is available") from None
     tgt_rank = rank[targets]
     forward = tgt_rank > src_rank
     fwd = np.flatnonzero(forward)
     back = np.flatnonzero(~forward)
+    del forward
     fkey = src_rank[fwd] * n + tgt_rank[fwd]
     order = np.argsort(fkey)
     fwd, fkey = fwd[order], fkey[order]
     # Sorted by the key of its reversed edge, back[k] is the slot w -> u
     # opposite the forward slot fwd[k] = u -> w.
     back = back[np.argsort(tgt_rank[back] * n + src_rank[back])]
+    del src_rank, tgt_rank, order
 
-    # Forward position p (the slot u -> w1) opens one wedge with each later
-    # position of u's block. Its wedges have the global ids wedge_start[p]
-    # to wedge_end[p] - 1, and wedge k pairs it with position k + shift[p].
+    # Vertex of rank r owns the forward positions row_bounds[r] to
+    # row_bounds[r + 1] - 1. add.at counts into the array allocated above,
+    # where a bincount would allocate another n-sized one.
+    n_fwd = len(fkey)
     u_rank = fkey // n
     w_rank = fkey - u_rank * n
-    positions = np.arange(len(fkey), dtype=np.int64)
-    n_wedges = np.cumsum(np.bincount(u_rank, minlength=n))[u_rank] - 1 - positions
-    wedge_end = np.cumsum(n_wedges)
-    wedge_start = wedge_end - n_wedges
-    shift = positions + 1 - wedge_start
-    total = int(wedge_end[-1]) if len(fkey) else 0
+    np.add.at(row_bounds, u_rank + 1, 1)
+    np.cumsum(row_bounds, out=row_bounds)
+    after = np.arange(1, n_fwd + 1, dtype=np.int64)
+    later = row_bounds[u_rank + 1] - after
+    walk_start = row_bounds[w_rank]
+    probes = row_bounds[w_rank + 1] - walk_start
+    on_w1 = probes < later
+    np.minimum(probes, later, out=probes)
+    del later
+    # Position p probes from walk_start[p] on, searching for keys in the
+    # row of w1 (u side) or of u (w1 side).
+    np.copyto(walk_start, after, where=~on_w1)
+    query_row = np.where(on_w1, u_rank, w_rank)
+    query_row *= n
+    del after, u_rank
+    # Its probes have the global ids probe_bounds[p] to probe_bounds[p + 1]
+    # - 1, and probe k walks position k + shift[p].
+    probe_bounds = np.zeros(n_fwd + 1, dtype=np.int64)
+    np.cumsum(probes, out=probe_bounds[1:])
+    del probes
+    probe_start, probe_end = probe_bounds[:-1], probe_bounds[1:]
+    shift = walk_start
+    shift -= probe_start
+    total = int(probe_bounds[-1])
 
-    # Closed wedges per forward position, as its w1 (hit_1) or its w2 (hit_2).
-    hit_1 = np.zeros(len(fkey), dtype=np.int64)
-    hit_2 = np.zeros(len(fkey), dtype=np.int64)
+    # Closed probes per forward position, as its u -> w1 (hit_1) or its
+    # u -> w2 (hit_2).
+    hit_1 = np.zeros(n_fwd, dtype=np.int64)
+    hit_2 = np.zeros(n_fwd, dtype=np.int64)
     for lo in range(0, total, _WEDGE_CHUNK):
         hi = min(lo + _WEDGE_CHUNK, total)
-        p_lo = int(np.searchsorted(wedge_end, lo, side="right"))
-        p_hi = int(np.searchsorted(wedge_start, hi, side="left"))
-        counts = np.minimum(wedge_end[p_lo:p_hi], hi) - np.maximum(wedge_start[p_lo:p_hi], lo)
-        j = np.repeat(shift[p_lo:p_hi], counts) + np.arange(lo, hi)
-        query = np.repeat(w_rank[p_lo:p_hi] * n, counts) + w_rank[j]
-        pos = np.minimum(np.searchsorted(fkey, query), len(fkey) - 1)
-        closed = np.flatnonzero(fkey[pos] == query)
-        c1 = np.bincount(np.searchsorted(np.cumsum(counts), closed, side="right"))
-        c2 = np.bincount(j[closed] - p_lo)
+        p_lo = int(np.searchsorted(probe_end, lo, side="right"))
+        p_hi = int(np.searchsorted(probe_start, hi, side="left"))
+        counts = np.minimum(probe_end[p_lo:p_hi], hi) - np.maximum(probe_start[p_lo:p_hi], lo)
+        walked = np.repeat(shift[p_lo:p_hi], counts)
+        walked += np.arange(lo, hi)
+        query = np.repeat(query_row[p_lo:p_hi], counts)
+        query += w_rank[walked]
+        del walked
+        found = np.searchsorted(fkey, query)
+        np.minimum(found, n_fwd - 1, out=found)
+        closed = np.flatnonzero(fkey[found] == query)
+        del query
+        chunk_on_w1 = on_w1[p_lo:p_hi]
+        found = found[closed] if chunk_on_w1.any() else None
+        owner = np.searchsorted(np.cumsum(counts), closed, side="right")
+        c1 = np.bincount(owner)
         hit_1[p_lo : p_lo + len(c1)] += c1
+        # hit_2 goes to the position u -> w2: probe k walked shift[p] + k on
+        # the u side and found it on the w1 side. Either ranks after p_lo.
+        j = (shift[p_lo:p_hi] + (lo - p_lo))[owner]
+        j += closed
+        if found is not None:
+            w1_closed = chunk_on_w1[owner]
+            found -= p_lo
+            j[w1_closed] = found[w1_closed]
+        c2 = np.bincount(j)
         hit_2[p_lo : p_lo + len(c2)] += c2
+    del fkey, w_rank, query_row, probe_bounds, shift, on_w1
 
+    t_e_slots = np.zeros(len(targets), dtype=np.int64)
     t_e_slots[fwd] = hit_1
     t_e_slots[back] = hit_1 + hit_2
     per_slot = np.zeros(len(targets) + 1, dtype=np.int64)
     np.cumsum(t_e_slots, out=per_slot[1:])
-    t_v = per_slot[offsets[1:]] - per_slot[offsets[:-1]]
+    # Offsets are in range; mode="clip" only skips the buffered copy that
+    # take makes into out under the default mode.
+    np.take(per_slot, offsets, out=row_bounds, mode="clip")
+    # t_v takes over rank's buffer.
+    t_v = np.subtract(row_bounds[1:], row_bounds[:-1], out=rank)
     return TriangleStats(graph, int(hit_1.sum()), t_v, t_e_slots)
 
 

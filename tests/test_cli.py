@@ -9,10 +9,12 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from subtri import Graph, write_edge_list
+from subtri import Graph, exact, write_edge_list
 from subtri.cli import BENCH_COLUMNS, main
 from util import complete_graph
 
@@ -110,6 +112,23 @@ class TestExact:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == (
             "error: line 1: vertex count 16000001 needs more memory than is available\n"
+        )
+
+    def test_counter_memory_is_exit_three(self, tmp_path, capsys):
+        # The graph fits, and count_ordered's own n-sized arrays do not.
+        class NoMemoryNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(*args, **kwargs):
+                raise MemoryError
+
+        with mock.patch.object(exact, "np", NoMemoryNumpy()):
+            code = main(["exact", "--input", k4_path(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: vertex count 4 needs more memory than is available\n"
         )
 
 

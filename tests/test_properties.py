@@ -1,6 +1,7 @@
 """Property tests: oracle metering, batched neighbor and pair queries against
 a dict-memo reference, degree-weighted draws, graph storage and its slot
-lookup, and the exact counters against networkx."""
+lookup, the exact counters against networkx, and the ordered counter against
+brute force and the forward-wedge kernel it replaced."""
 
 from bisect import bisect_right
 from unittest import mock
@@ -20,7 +21,10 @@ from subtri import (
     count_brute,
     count_ordered,
     exact,
+    gen_clique_family,
+    gen_g2_matching,
 )
+from util import gnp_graph
 
 
 @st.composite
@@ -591,8 +595,103 @@ class TestCountersAgainstNetworkx:
         assert stats.t == sum(per_vertex.values()) // 3
 
 
+def wedge_reference(graph: Graph) -> tuple[int, np.ndarray, np.ndarray]:
+    """(t, t_v, t_e_slots) from the forward-wedge kernel count_ordered replaced.
+
+    Every pair w1 < w2 of u's successors in the (degree, id) order is a
+    wedge, closed by a searchsorted for w1 -> w2 on the sorted forward keys,
+    so the work is the sum over u of C(d+(u), 2) whichever walk is shorter.
+    """
+    chunk = 1 << 18
+    n, offsets, targets = graph.n, graph.offsets, graph.targets
+    t_e_slots = np.zeros(len(targets), dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(graph.degrees, kind="stable")] = np.arange(n, dtype=np.int64)
+    src_rank = np.repeat(rank, graph.degrees)
+    tgt_rank = rank[targets]
+    forward = tgt_rank > src_rank
+    fwd = np.flatnonzero(forward)
+    back = np.flatnonzero(~forward)
+    fkey = src_rank[fwd] * n + tgt_rank[fwd]
+    order = np.argsort(fkey)
+    fwd, fkey = fwd[order], fkey[order]
+    back = back[np.argsort(tgt_rank[back] * n + src_rank[back])]
+
+    u_rank = fkey // n
+    w_rank = fkey - u_rank * n
+    positions = np.arange(len(fkey), dtype=np.int64)
+    n_wedges = np.cumsum(np.bincount(u_rank, minlength=n))[u_rank] - 1 - positions
+    wedge_end = np.cumsum(n_wedges)
+    wedge_start = wedge_end - n_wedges
+    shift = positions + 1 - wedge_start
+    total = int(wedge_end[-1]) if len(fkey) else 0
+
+    hit_1 = np.zeros(len(fkey), dtype=np.int64)
+    hit_2 = np.zeros(len(fkey), dtype=np.int64)
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        p_lo = int(np.searchsorted(wedge_end, lo, side="right"))
+        p_hi = int(np.searchsorted(wedge_start, hi, side="left"))
+        counts = np.minimum(wedge_end[p_lo:p_hi], hi) - np.maximum(wedge_start[p_lo:p_hi], lo)
+        j = np.repeat(shift[p_lo:p_hi], counts) + np.arange(lo, hi)
+        query = np.repeat(w_rank[p_lo:p_hi] * n, counts) + w_rank[j]
+        pos = np.minimum(np.searchsorted(fkey, query), len(fkey) - 1)
+        closed = np.flatnonzero(fkey[pos] == query)
+        c1 = np.bincount(np.searchsorted(np.cumsum(counts), closed, side="right"))
+        c2 = np.bincount(j[closed] - p_lo)
+        hit_1[p_lo : p_lo + len(c1)] += c1
+        hit_2[p_lo : p_lo + len(c2)] += c2
+
+    t_e_slots[fwd] = hit_1
+    t_e_slots[back] = hit_1 + hit_2
+    per_slot = np.zeros(len(targets) + 1, dtype=np.int64)
+    np.cumsum(t_e_slots, out=per_slot[1:])
+    t_v = per_slot[offsets[1:]] - per_slot[offsets[:-1]]
+    return int(hit_1.sum()), t_v, t_e_slots
+
+
+def closing_sides(graph: Graph) -> tuple[int, int]:
+    """Forward edges u -> w1 that close a triangle, split by the shorter walk.
+
+    The first count is of edges where u's successors after w1 are at most
+    w1's successors (the u side), the second of the rest (the w1 side).
+    """
+    key = [(int(graph.degrees[v]), v) for v in range(graph.n)]
+    succ = {
+        v: sorted((int(w) for w in graph.neighbors(v) if key[w] > key[v]), key=key.__getitem__)
+        for v in range(graph.n)
+    }
+    sides = [0, 0]
+    for row in succ.values():
+        for i, w1 in enumerate(row):
+            if set(row[i + 1 :]) & set(succ[w1]):
+                sides[len(succ[w1]) < len(row) - 1 - i] += 1
+    return sides[0], sides[1]
+
+
+def chung_lu(n: int, pairs: int, beta: float, seed: int) -> Graph:
+    """Skewed graph: endpoint pairs drawn with P ~ w_i w_j, w_i = (i + 10)^(-1/(beta - 1))."""
+    rng = np.random.default_rng(seed)
+    w = (np.arange(n, dtype=np.float64) + 10.0) ** (-1.0 / (beta - 1.0))
+    u, v = rng.choice(n, size=(2, pairs), p=w / w.sum())
+    keep = u != v
+    keys = np.unique(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
+    return Graph.from_edges(n, np.stack([keys // n, keys % n], axis=1))
+
+
+# Small graphs shaped like the benchmark's: the g2-matching panels, the
+# hidden clique, a Chung-Lu graph with the powerlaw file's weights, and G(n, p).
+KERNEL_GRAPHS = {
+    "g2-16": lambda: gen_g2_matching(64, 16, seed=1).graph,
+    "g2-32": lambda: gen_g2_matching(128, 32, seed=2).graph,
+    "clique": lambda: gen_clique_family(2000, 1000, seed=3).graph,
+    "chung-lu": lambda: chung_lu(400, 1700, beta=2.5, seed=4),
+    "gnp": lambda: gnp_graph(200, 0.1, seed=5),
+}
+
+
 class TestOrderedKernel:
-    # Chunk sizes of 1 and 3 split one vertex's wedges over several passes
+    # Chunk sizes of 1 and 3 split one vertex's probes over several passes
     # and put chunk boundaries inside and between forward positions.
     @pytest.mark.parametrize("chunk", [exact._WEDGE_CHUNK, 3, 1])
     @given(g=padded_graphs())
@@ -605,3 +704,18 @@ class TestOrderedKernel:
         assert np.array_equal(ordered.t_v, brute.t_v)
         assert np.array_equal(ordered.t_e_slots, brute.t_e_slots)
         assert ordered.t_e == brute.t_e
+
+    @pytest.mark.parametrize("chunk", [exact._WEDGE_CHUNK, 7, 3, 1])
+    @pytest.mark.parametrize("name", list(KERNEL_GRAPHS))
+    def test_matches_wedge_reference(self, chunk, name):
+        g = KERNEL_GRAPHS[name]()
+        with mock.patch.object(exact, "_WEDGE_CHUNK", chunk):
+            ordered = count_ordered(g)
+        t, t_v, t_e_slots = wedge_reference(g)
+        assert t > 0
+        assert ordered.t == t
+        assert np.array_equal(ordered.t_v, t_v)
+        assert np.array_equal(ordered.t_e_slots, t_e_slots)
+        if name == "chung-lu":
+            # Both walks close triangles here, so the w1 side is exercised.
+            assert min(closing_sides(g)) > 0
