@@ -107,7 +107,12 @@ class DegreeWeightedSampler:
         """k draws with replacement, as (vertices, their degrees)."""
         if self.total_degree <= 0:
             raise ValueError("sampler has zero total degree")
-        at = np.searchsorted(self._cum, rng.integers(0, self.total_degree, k), "right")
+        pos = rng.integers(0, self.total_degree, k)
+        # Searching in ascending order walks the prefix sums forward, with
+        # far fewer cache misses; at restores the draw order.
+        order = np.argsort(pos)
+        at = np.empty_like(order)
+        at[order] = np.searchsorted(self._cum, pos[order], "right")
         return self.vertices[at], self.degrees[at]
 
 

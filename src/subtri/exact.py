@@ -8,8 +8,12 @@ forward edge u -> w1 it walks the shorter of two rows, u's successors after
 w1 or w1's successors, and searches for the edge that closes a triangle with
 each walked vertex. Its work is the shorter row's length summed over forward
 edges, not the C(d+(u), 2) forward wedges of each vertex u. Either walk
-closes the same triangles, so the choice moves no count. Tests play the two
-counters against each other, so they must not share counting logic.
+closes the same triangles, so the choice moves no count. The probes run in
+fixed-size passes that share no state, on a thread pool when there are
+several passes and CPUs (numpy releases the interpreter lock inside them);
+each pass returns integer counts that the calling thread adds up, so the
+result does not depend on the threads. Tests play the two counters against
+each other, so they must not share counting logic.
 
 Both produce the same decomposition: t_v[v] is the number of triangles
 containing v, and t_e[(v, x)] counts the triangles through v that are charged
@@ -21,6 +25,8 @@ graph.targets; the (v, x) mapping is built from it on first access.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,7 +37,18 @@ from .heavy import BORDERLINE, HEAVY, LIGHT, degree_cutoff, heavy_tv_cutoff, lig
 
 # Probes searched per pass of count_ordered. Each pass holds up to five int64
 # temporaries of this length (2 MiB each), whatever the graph's probe total.
+# At most _MAX_WORKERS passes run at once, so at most that many sets of
+# temporaries are in flight; a graph of one pass starts no thread.
 _WEDGE_CHUNK = 1 << 18
+_MAX_WORKERS = 4
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -130,6 +147,18 @@ def count_ordered(graph: Graph) -> TriangleStats:
     u -> w2: the walked one on the u side, the found one on the w1 side).
     Probes run _WEDGE_CHUNK at a time, so memory stays bounded however
     many there are; arrays are freed once spent, for the same reason.
+
+    The passes read the shared arrays and write nothing shared: each
+    returns the closed probes per position from its first one, and the
+    calling thread adds those into hit_1 and hit_2. With two or more passes
+    they run on min(CPUs available, passes, _MAX_WORKERS) threads, so at
+    most _MAX_WORKERS passes' temporaries are alive at once and no thread
+    holds an array as long as the forward edges; otherwise they run in the
+    calling thread. The counts are integer sums, so t, t_v and t_e_slots do
+    not depend on which thread ran which pass, or when. An exception in a
+    pass, or an interrupt, reaches the caller with its own type once the
+    running passes end; passes not yet started never run, and no thread
+    started here outlives the call.
     """
     n, offsets, targets = graph.n, graph.offsets, graph.targets
     try:
@@ -187,12 +216,10 @@ def count_ordered(graph: Graph) -> TriangleStats:
     shift -= probe_start
     total = int(probe_bounds[-1])
 
-    # Closed probes per forward position, as its u -> w1 (hit_1) or its
-    # u -> w2 (hit_2).
-    hit_1 = np.zeros(n_fwd, dtype=np.int64)
-    hit_2 = np.zeros(n_fwd, dtype=np.int64)
-    for lo in range(0, total, _WEDGE_CHUNK):
-        hi = min(lo + _WEDGE_CHUNK, total)
+    def run_pass(lo: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Closed probes lo to hi - 1, counted per forward position from
+        p_lo: as its u -> w1 (c1) or its u -> w2 (c2)."""
+        hi = min(lo + chunk, total)
         p_lo = int(np.searchsorted(probe_end, lo, side="right"))
         p_hi = int(np.searchsorted(probe_start, hi, side="left"))
         counts = np.minimum(probe_end[p_lo:p_hi], hi) - np.maximum(probe_start[p_lo:p_hi], lo)
@@ -209,8 +236,7 @@ def count_ordered(graph: Graph) -> TriangleStats:
         found = found[closed] if chunk_on_w1.any() else None
         owner = np.searchsorted(np.cumsum(counts), closed, side="right")
         c1 = np.bincount(owner)
-        hit_1[p_lo : p_lo + len(c1)] += c1
-        # hit_2 goes to the position u -> w2: probe k walked shift[p] + k on
+        # c2 goes to the position u -> w2: probe k walked shift[p] + k on
         # the u side and found it on the w1 side. Either ranks after p_lo.
         j = (shift[p_lo:p_hi] + (lo - p_lo))[owner]
         j += closed
@@ -218,8 +244,25 @@ def count_ordered(graph: Graph) -> TriangleStats:
             w1_closed = chunk_on_w1[owner]
             found -= p_lo
             j[w1_closed] = found[w1_closed]
-        c2 = np.bincount(j)
-        hit_2[p_lo : p_lo + len(c2)] += c2
+        return p_lo, c1, np.bincount(j)
+
+    # Closed probes per forward position, as its u -> w1 (hit_1) or its
+    # u -> w2 (hit_2). Only this thread writes them.
+    hit_1 = np.zeros(n_fwd, dtype=np.int64)
+    hit_2 = np.zeros(n_fwd, dtype=np.int64)
+    chunk = _WEDGE_CHUNK
+    starts = range(0, total, chunk)
+    workers = min(_cpu_count(), len(starts), _MAX_WORKERS)
+    pool = ThreadPoolExecutor(workers) if workers > 1 else None
+    try:
+        for p_lo, c1, c2 in (pool.map if pool else map)(run_pass, starts):
+            hit_1[p_lo : p_lo + len(c1)] += c1
+            hit_2[p_lo : p_lo + len(c2)] += c2
+    finally:
+        # On an exception or an interrupt, passes not yet started never
+        # start; the ones running finish, and every worker is joined.
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     del fkey, w_rank, query_row, probe_bounds, shift, on_w1
 
     t_e_slots = np.zeros(len(targets), dtype=np.int64)

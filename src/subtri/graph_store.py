@@ -176,11 +176,19 @@ class Graph:
         the estimator makes and the exact counter does not.
         """
         if self._slot_map is None:
-            rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-            rows *= self.n
-            # Each row's stored order, sorted by target: rows are contiguous,
-            # so one sort of the stored keys sorts within each row.
-            slot_map = np.argsort(rows + self.targets, kind="stable")
+            try:
+                # np.repeat copies the read-only degrees, one more n-sized
+                # array beside the arange.
+                rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+                rows *= self.n
+                # Each row's stored order, sorted by target: rows are
+                # contiguous, so one sort of the stored keys sorts within
+                # each row.
+                slot_map = np.argsort(rows + self.targets, kind="stable")
+            except MemoryError:
+                raise ValueError(
+                    f"vertex count {self.n} needs more memory than is available"
+                ) from None
             rows += self._sorted_targets
             for arr in (rows, slot_map):
                 arr.setflags(write=False)

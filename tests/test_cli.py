@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from subtri import Graph, exact, write_edge_list
+from subtri import Graph, exact, graph_store, write_edge_list
 from subtri.cli import BENCH_COLUMNS, main
 from util import complete_graph
 
@@ -133,6 +133,29 @@ class TestExact:
 
 
 class TestEstimate:
+    def test_slot_lookup_memory_is_exit_three(self, tmp_path, capsys):
+        # The graph loads, and the first edge_slots call's build does not fit.
+        failed = []
+
+        class NoMemoryNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def repeat(*args, **kwargs):
+                if sys._getframe(1).f_code is Graph.edge_slots.__code__:
+                    failed.append(True)
+                    raise MemoryError
+                return np.repeat(*args, **kwargs)
+
+        with mock.patch.object(graph_store, "np", NoMemoryNumpy()):
+            code = main(["estimate", "--input", k4_path(tmp_path), "--seed", "0"])
+        assert failed
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: vertex count 4 needs more memory than is available\n"
+        )
+
     def test_triangle_free_reports_zero_through_fallback(self, tmp_path, capsys):
         code = main(
             ["estimate", "--input", bipartite_path(tmp_path), "--json", "--seed", "1"]

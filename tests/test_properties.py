@@ -3,6 +3,7 @@ a dict-memo reference, degree-weighted draws, graph storage and its slot
 lookup, the exact counters against networkx, and the ordered counter against
 brute force and the forward-wedge kernel it replaced."""
 
+import threading
 from bisect import bisect_right
 from unittest import mock
 
@@ -690,6 +691,16 @@ KERNEL_GRAPHS = {
 }
 
 
+def pool_of(workers: int):
+    """Patch count_ordered to run its passes on `workers` threads (one: in
+    the calling thread), whatever the machine's CPU count."""
+    return mock.patch.multiple(exact, _MAX_WORKERS=workers, _cpu_count=lambda: workers)
+
+
+class PassFailed(Exception):
+    pass
+
+
 class TestOrderedKernel:
     # Chunk sizes of 1 and 3 split one vertex's probes over several passes
     # and put chunk boundaries inside and between forward positions.
@@ -697,25 +708,78 @@ class TestOrderedKernel:
     @given(g=padded_graphs())
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_per_slot(self, chunk, g):
-        with mock.patch.object(exact, "_WEDGE_CHUNK", chunk):
-            ordered = count_ordered(g)
         brute = count_brute(g)
-        assert ordered.t == brute.t
-        assert np.array_equal(ordered.t_v, brute.t_v)
-        assert np.array_equal(ordered.t_e_slots, brute.t_e_slots)
-        assert ordered.t_e == brute.t_e
+        for workers in (1, 2):
+            with mock.patch.object(exact, "_WEDGE_CHUNK", chunk), pool_of(workers):
+                ordered = count_ordered(g)
+            assert ordered.t == brute.t
+            assert np.array_equal(ordered.t_v, brute.t_v)
+            assert np.array_equal(ordered.t_e_slots, brute.t_e_slots)
+            assert ordered.t_e == brute.t_e
 
+    # Each case runs on 1, 2 and 4 workers; below the default chunk every
+    # graph here takes many passes, so the threads split them.
     @pytest.mark.parametrize("chunk", [exact._WEDGE_CHUNK, 7, 3, 1])
     @pytest.mark.parametrize("name", list(KERNEL_GRAPHS))
     def test_matches_wedge_reference(self, chunk, name):
         g = KERNEL_GRAPHS[name]()
-        with mock.patch.object(exact, "_WEDGE_CHUNK", chunk):
-            ordered = count_ordered(g)
         t, t_v, t_e_slots = wedge_reference(g)
         assert t > 0
-        assert ordered.t == t
-        assert np.array_equal(ordered.t_v, t_v)
-        assert np.array_equal(ordered.t_e_slots, t_e_slots)
+        for workers in (1, 2, 4):
+            with mock.patch.object(exact, "_WEDGE_CHUNK", chunk), pool_of(workers):
+                ordered = count_ordered(g)
+            assert ordered.t == t
+            assert np.array_equal(ordered.t_v, t_v)
+            assert np.array_equal(ordered.t_e_slots, t_e_slots)
         if name == "chung-lu":
             # Both walks close triangles here, so the w1 side is exercised.
             assert min(closing_sides(g)) > 0
+
+    def test_one_pass_starts_no_thread(self):
+        g = KERNEL_GRAPHS["chung-lu"]()
+        no_pool = mock.Mock(side_effect=AssertionError("a pool started"))
+        with pool_of(4), mock.patch.object(exact, "ThreadPoolExecutor", no_pool):
+            assert count_ordered(g).t == wedge_reference(g)[0]
+            # The same graph in many passes does reach the pool.
+            with mock.patch.object(exact, "_WEDGE_CHUNK", 3):
+                with pytest.raises(AssertionError, match="a pool started"):
+                    count_ordered(g)
+
+    @pytest.mark.parametrize("error", [PassFailed, KeyboardInterrupt])
+    def test_failed_pass_stops_the_pool(self, error):
+        g = KERNEL_GRAPHS["g2-32"]()
+        calls = []
+        lock = threading.Lock()
+
+        class FailingNumpy:
+            """numpy, except that the k-th bincount raises (k = fail_at);
+            each pass calls bincount twice."""
+
+            fail_at = None
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def bincount(self, *args, **kwargs):
+                with lock:
+                    calls.append(None)
+                    k = len(calls)
+                if k == self.fail_at:
+                    raise error("pass failed")
+                return np.bincount(*args, **kwargs)
+
+        fake = FailingNumpy()
+        threads = threading.active_count()
+        chunk_1 = mock.patch.object(exact, "_WEDGE_CHUNK", 1)
+        with chunk_1, mock.patch.object(exact, "np", fake), pool_of(2):
+            count_ordered(g)
+            assert threading.active_count() == threads
+            all_calls = len(calls)
+            calls.clear()
+            fake.fail_at = 21
+            with pytest.raises(error, match="pass failed"):
+                count_ordered(g)
+        assert threading.active_count() == threads
+        # Passes not yet started when the failure reached the caller never ran.
+        assert all_calls > 1000
+        assert len(calls) < all_calls // 2
