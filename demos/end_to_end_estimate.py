@@ -9,14 +9,9 @@ Usage: python3 demos/end_to_end_estimate.py
 
 from __future__ import annotations
 
-from subtri import (
-    EstimatorParams,
-    QueryOracle,
-    estimate,
-    gen_clique_family,
-    gen_g1_bipartite,
-    gen_g2_matching,
-)
+from subtri.estimator import EstimatorParams, estimate
+from subtri.lb_gen import gen_clique_family, gen_g1_bipartite, gen_g2_matching
+from subtri.query_oracle import QueryOracle
 
 
 def run(name: str, res, seed: int = 0) -> None:

@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from subtri import Graph, count_brute, count_ordered
+from subtri.exact import count_brute, count_ordered
+from subtri.graph_store import Graph
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:

@@ -10,8 +10,8 @@ Usage: python3 demos/hard_instances.py
 
 from __future__ import annotations
 
-from subtri import (
-    count_ordered,
+from subtri.exact import count_ordered
+from subtri.lb_gen import (
     gen_clique_family,
     gen_g1_bipartite,
     gen_g2_matching,

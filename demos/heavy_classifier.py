@@ -14,18 +14,17 @@ import statistics
 
 import numpy as np
 
-from subtri import (
-    Graph,
+from subtri.exact import count_ordered, label_ground_truth
+from subtri.graph_store import Graph
+from subtri.heavy import (
     HeavyParams,
-    QueryOracle,
     classify_heavy,
-    count_ordered,
     decision_threshold,
     degree_cutoff,
     heavy_tv_cutoff,
-    label_ground_truth,
     light_tv_cutoff,
 )
+from subtri.query_oracle import QueryOracle
 
 
 def wheel_like() -> tuple[Graph, int]:

@@ -10,7 +10,8 @@ Usage: python3 demos/oracle_metering.py
 
 from __future__ import annotations
 
-from subtri import BudgetExhausted, Graph, QueryOracle
+from subtri.graph_store import Graph
+from subtri.query_oracle import BudgetExhausted, QueryOracle
 
 
 def tally(oracle: QueryOracle) -> str:

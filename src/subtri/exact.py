@@ -159,7 +159,19 @@ def count_ordered(graph: Graph) -> TriangleStats:
     pass, or an interrupt, reaches the caller with its own type once the
     running passes end; passes not yet started never run, and no thread
     started here outlives the call.
+
+    A MemoryError in the n-sized arrays becomes a ValueError that names the
+    vertex count, as Graph.from_edges reports it, and one in the m-sized
+    arrays after them a ValueError that names the edge count.
     """
+    try:
+        return _count_ordered(graph)
+    except MemoryError:
+        raise ValueError(f"edge count {graph.m} needs more memory than is available") from None
+
+
+def _count_ordered(graph: Graph) -> TriangleStats:
+    """count_ordered, with a MemoryError past the n-sized arrays raised as is."""
     n, offsets, targets = graph.n, graph.offsets, graph.targets
     try:
         # The n-sized arrays, allocated together. Past the memory the graph's

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import codecs
 import math
-from bisect import bisect_left
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -39,10 +38,7 @@ class Graph:
     triangle-assignment logic downstream, so it is part of the public API.
     """
 
-    __slots__ = (
-        "n", "m", "degrees", "offsets", "targets", "_sorted_targets",
-        "_degrees_view", "_offsets_view", "_sorted_view", "_edge_keys", "_slot_map",
-    )
+    __slots__ = ("n", "m", "degrees", "offsets", "targets", "_sorted_targets", "_edge_keys", "_slot_map")
 
     def __init__(
         self,
@@ -61,12 +57,6 @@ class Graph:
         self._sorted_targets = sorted_targets
         for arr in (degrees, offsets, targets, sorted_targets):
             arr.setflags(write=False)
-        # The scalar reads go through memoryviews: indexing one yields a
-        # Python int, for a plain-int or numpy-integer index alike, at well
-        # under half the cost of a numpy scalar index.
-        self._degrees_view = memoryview(degrees)
-        self._offsets_view = memoryview(offsets)
-        self._sorted_view = memoryview(sorted_targets)
         self._edge_keys = None
         self._slot_map = None
 
@@ -144,26 +134,21 @@ class Graph:
     # -- queries ----------------------------------------------------------
 
     def degree(self, v: int) -> int:
-        return self._degrees_view[v]
+        return int(self.degrees[v])
 
     def neighbors(self, v: int) -> np.ndarray:
         """Read-only view of v's neighbor list in stored order."""
         return self.targets[self.offsets[v] : self.offsets[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        """Adjacency test by binary search on the lower-degree endpoint."""
-        degrees = self._degrees_view
-        if degrees[u] > degrees[v]:
+        """Adjacency test by binary search in the lower-degree endpoint's
+        sorted row. It shares no code with edge_slots, so tests can use it
+        as the adjacency reference."""
+        if self.degrees[u] > self.degrees[v]:
             u, v = v, u
-        lo, hi = self._offsets_view[u], self._offsets_view[u + 1]
-        row = self._sorted_view
-        i = bisect_left(row, v, lo, hi)
-        # bool(): a numpy-integer v makes the comparison a numpy bool.
-        return bool(i < hi and row[i] == v)
-
-    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """has_edge for each pair (us[k], vs[k]), by one edge_slots lookup."""
-        return self.edge_slots(us, vs) >= 0
+        row = self._sorted_targets[self.offsets[u] : self.offsets[u + 1]]
+        i = np.searchsorted(row, v)
+        return bool(i < len(row) and row[i] == v)
 
     def edge_slots(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """The stored slot of vs[k] in us[k]'s row, for each k, or -1 where
@@ -207,7 +192,7 @@ class Graph:
 
     def precedes(self, u: int, v: int) -> bool:
         """True when u comes before v in the (degree, id) vertex order."""
-        du, dv = self._degrees_view[u], self._degrees_view[v]
+        du, dv = self.degrees[u], self.degrees[v]
         return bool(du < dv or (du == dv and u < v))
 
     def edges(self) -> Iterator[tuple[int, int]]:

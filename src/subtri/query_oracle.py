@@ -85,11 +85,14 @@ class QueryOracle:
     are kept beside these memos, so budget_charged == neighbor + pair holds
     by construction, and stats is O(1) to read.
 
-    The samplers ask in batches: q_degree_batch, q_neighbor_batch and
-    q_pair_batch each charge as their scalar query would on each item in
-    array order, and a trip leaves neighbor + pair == cap. Draws come from
-    numpy Generators only: sample_vertices and q_random_edge_at use the
-    caller's Generator or the oracle's own, seeded from seed.
+    Each kind of query has one implementation, a batch kernel:
+    q_degree_batch, q_neighbor_batch and q_pair_batch. q_degree, q_neighbor
+    and q_pair are the kernel on one item; only q_neighbor's ABSENT answer,
+    an index past the degree, is charged outside it. A batch charges its
+    fresh distinct items in order of first occurrence, as the one-item calls
+    in array order would, and a trip leaves neighbor + pair == cap. Draws
+    come from numpy Generators only: sample_vertices and q_random_edge_at
+    use the caller's Generator or the oracle's own, seeded from seed.
     """
 
     def __init__(self, graph: Graph, seed: int | None = None, budget: int | None = None):
@@ -99,16 +102,8 @@ class QueryOracle:
         # keeps every sample_vertices stream as it was.
         self._np_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
         self._deg_seen = np.zeros(graph.n, dtype=bool)
-        # The scalar queries read through memoryviews: indexing one yields a
-        # Python int (or bool) at well under half the cost of a numpy scalar
-        # index, and the views share the arrays' memory.
-        self._deg_seen_view = memoryview(self._deg_seen)
-        self._degrees = memoryview(graph.degrees)
-        self._offsets = memoryview(graph.offsets)
-        self._targets = memoryview(graph.targets)
         self._deg_count = 0
         self._nbr_seen = np.zeros(len(graph.targets), dtype=bool)
-        self._nbr_seen_view = memoryview(self._nbr_seen)
         self._nbr_count = 0
         self._absent_seen: set[tuple[int, int]] = set()
         self._pair_seen = np.zeros(len(graph.targets), dtype=bool)
@@ -132,23 +127,14 @@ class QueryOracle:
     def budget_charged(self) -> int:
         return self._nbr_count + len(self._absent_seen) + self._pair_count
 
-    # Each fresh-charge branch below tests budget_charged's sum against the
-    # cap inline, before it adds to the memo: the test runs once per distinct
-    # charged query, where a method and a property hop would cost more than
-    # the test itself.
     def _exhausted(self) -> BudgetExhausted:
         return BudgetExhausted(f"query budget of {self._cap} exhausted")
 
     # -- queries ----------------------------------------------------------
 
     def q_degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} out of range")
-        seen = self._deg_seen_view
-        if not seen[v]:
-            seen[v] = True
-            self._deg_count += 1
-        return self._degrees[v]
+        """The degree of v: q_degree_batch on the one vertex."""
+        return int(self.q_degree_batch([v])[0])
 
     def q_degree_batch(self, vs: np.ndarray) -> np.ndarray:
         """Degree-query many vertices at once; counts each distinct vertex once."""
@@ -164,42 +150,32 @@ class QueryOracle:
         return self.graph.degrees[vs]
 
     def q_neighbor(self, v: int, i: int):
-        """The i-th neighbor of v (1-indexed), or ABSENT when i exceeds the degree."""
+        """The i-th neighbor of v (1-indexed), or ABSENT when i exceeds the
+        degree: q_neighbor_batch on the one pair, but for ABSENT."""
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range")
         if i < 1:
             raise ValueError("neighbor index is 1-based")
-        if i > self._degrees[v]:
-            key = (v, i)
-            if key not in self._absent_seen:
-                if self._cap is not None and (
-                    self._nbr_count + len(self._absent_seen) + self._pair_count >= self._cap
-                ):
-                    raise self._exhausted()
-                self._absent_seen.add(key)
-            return ABSENT
-        slot = self._offsets[v] + i - 1
-        w = self._targets[slot]
-        seen = self._nbr_seen_view
-        if not seen[slot]:
-            if self._cap is not None and (
-                self._nbr_count + len(self._absent_seen) + self._pair_count >= self._cap
-            ):
+        if i <= self.graph.degrees[v]:
+            return int(self.q_neighbor_batch([v], [i])[0])
+        key = (v, i)
+        if key not in self._absent_seen:
+            if self._cap is not None and self.budget_charged >= self._cap:
                 raise self._exhausted()
-            seen[slot] = True
-            self._nbr_count += 1
-        return w
+            self._absent_seen.add(key)
+        return ABSENT
 
     def q_neighbor_batch(self, vs: np.ndarray, idxs: np.ndarray) -> np.ndarray:
-        """The idxs[k]-th neighbor of vs[k] for each k, charged as q_neighbor
-        on each pair in array order would charge.
+        """The idxs[k]-th neighbor of vs[k] for each k; q_neighbor is this
+        kernel on one pair.
 
         Every index must lie in 1..d(v); the ABSENT answer is q_neighbor's
         alone. A ValueError or IndexError is raised before anything is
         charged. The fresh distinct slots are charged in order of first
-        occurrence. When the cap leaves room for only some of them, those
-        are charged and BudgetExhausted is raised, so the memo ends as the
-        scalar loop's does at its trip.
+        occurrence, as q_neighbor on each pair in array order would charge
+        them. When the cap leaves room for only some of them, those are
+        charged and BudgetExhausted is raised, so the memo ends as that
+        loop's does at its trip.
         """
         vs = np.asarray(vs, dtype=np.int64)
         idxs = np.asarray(idxs, dtype=np.int64)

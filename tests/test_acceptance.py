@@ -17,27 +17,18 @@ import time
 import numpy as np
 import pytest
 
-from subtri import (
-    HEAVY,
-    LIGHT,
-    EstimatorParams,
-    HeavyParams,
-    QueryOracle,
-    classify_heavy,
-    count_brute,
-    count_ordered,
-    degree_cutoff,
-    estimate,
-    estimate_with_advice,
-    feige_avg_degree,
+from subtri.estimator import EstimatorParams, estimate, estimate_with_advice, feige_avg_degree
+from subtri.exact import count_brute, count_ordered, label_ground_truth
+from subtri.heavy import HEAVY, LIGHT, HeavyParams, classify_heavy, degree_cutoff
+from subtri.lb_gen import (
     gen_clique_family,
     gen_g1_bipartite,
     gen_g2_matching,
     gen_g2_multi_matching,
     gen_g2_partial_matching,
     gen_special_four,
-    label_ground_truth,
 )
+from subtri.query_oracle import QueryOracle
 from util import complete_graph, gnp_graph, wheel_like_graph
 
 # (charged, cap) pairs deposited by criteria 5 and 6, audited by criterion 8.

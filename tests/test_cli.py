@@ -14,8 +14,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from subtri import Graph, exact, graph_store, write_edge_list
+from subtri import exact, graph_store
 from subtri.cli import BENCH_COLUMNS, main
+from subtri.graph_store import Graph, write_edge_list
 from util import complete_graph
 
 
@@ -129,6 +130,30 @@ class TestExact:
         assert code == 3
         assert capsys.readouterr().err == (
             "error: vertex count 4 needs more memory than is available\n"
+        )
+
+    def test_counter_tail_memory_is_exit_three(self, tmp_path, capsys):
+        # The graph and count_ordered's n-sized arrays fit, and the 2m + 1
+        # prefix sums in its m-sized tail do not.
+        failed = []
+
+        class NoMemoryNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def zeros(shape, *args, **kwargs):
+                if shape == 2 * 6 + 1:
+                    failed.append(shape)
+                    raise MemoryError
+                return np.zeros(shape, *args, **kwargs)
+
+        with mock.patch.object(exact, "np", NoMemoryNumpy()):
+            code = main(["exact", "--input", k4_path(tmp_path)])
+        assert failed
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: edge count 6 needs more memory than is available\n"
         )
 
 

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package sources."""
+"""Each demo script, and the README quickstart, runs to completion against
+the package sources."""
 
 import os
 import subprocess
@@ -15,11 +16,25 @@ def test_demos_are_found():
     assert DEMOS, "no demo scripts under demos/"
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_exits_zero(demo):
+def run_python(*args: str) -> subprocess.CompletedProcess:
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_exits_zero(demo):
+    proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quickstart_prints_its_comments():
+    # The quickstart imports only from the package root, so this also pins
+    # what subtri re-exports.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-c", block)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:4] == ["2", "2.0", "True", "budget"]

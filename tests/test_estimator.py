@@ -9,25 +9,21 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from subtri import (
-    HEAVY,
-    LIGHT,
+from subtri import estimator
+from subtri.estimator import (
+    RUNS_PER_LEVEL,
     DegreeWeightedSampler,
     EstimatorParams,
-    Graph,
-    HeavyParams,
-    QueryOracle,
     RunSizeExceeded,
-    count_ordered,
     estimate,
     estimate_with_advice,
     feige_avg_degree,
-    gen_clique_family,
-    gen_g1_bipartite,
-    gen_g2_matching,
 )
-from subtri import estimator
-from subtri.estimator import RUNS_PER_LEVEL
+from subtri.exact import count_ordered
+from subtri.graph_store import Graph
+from subtri.heavy import HEAVY, LIGHT, HeavyParams
+from subtri.lb_gen import gen_clique_family, gen_g1_bipartite, gen_g2_matching
+from subtri.query_oracle import QueryOracle
 from test_acceptance import _expected_advice_estimate
 from util import bowtie_graph, complete_graph, gnp_graph
 

@@ -6,15 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from subtri import (
-    BORDERLINE,
-    HEAVY,
-    LIGHT,
-    Graph,
-    count_brute,
-    count_ordered,
-    label_ground_truth,
-)
+from subtri.exact import count_brute, count_ordered, label_ground_truth
+from subtri.graph_store import Graph
+from subtri.heavy import BORDERLINE, HEAVY, LIGHT
 from util import complete_graph, gnp_graph
 
 

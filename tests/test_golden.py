@@ -21,22 +21,12 @@ import json
 import numpy as np
 import pytest
 
-from subtri import (
-    HEAVY,
-    LIGHT,
-    EstimatorParams,
-    Graph,
-    HeavyParams,
-    QueryOracle,
-    classify_heavy,
-    estimate,
-    estimate_with_advice,
-    gen_clique_family,
-    gen_g1_bipartite,
-    gen_g2_matching,
-    write_edge_list,
-)
 from subtri.cli import main
+from subtri.estimator import EstimatorParams, estimate, estimate_with_advice
+from subtri.graph_store import Graph, write_edge_list
+from subtri.heavy import HEAVY, LIGHT, HeavyParams, classify_heavy
+from subtri.lb_gen import gen_clique_family, gen_g1_bipartite, gen_g2_matching
+from subtri.query_oracle import QueryOracle
 from util import complete_graph, gnp_graph, wheel_like_graph
 
 

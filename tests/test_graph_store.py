@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subtri import Graph, GraphFormatError, graph_store, load_edge_list, write_edge_list
+from subtri import graph_store
+from subtri.graph_store import Graph, GraphFormatError, load_edge_list, write_edge_list
 from util import gnp_edges, gnp_graph
 
 
@@ -94,7 +95,7 @@ class TestQueries:
         # Callers index with numpy integers (sampled ids, neighbor arrays);
         # the answers must still be exact Python bools and ints.
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
-        for cast in (int, np.int64):
+        for cast in (int, np.int64, np.int32):
             u, v, w, x = (cast(i) for i in range(4))
             assert g.has_edge(u, v) is True
             assert g.has_edge(v, u) is True

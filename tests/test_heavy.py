@@ -6,22 +6,25 @@ import statistics
 import numpy as np
 import pytest
 
-from subtri import (
+from subtri import heavy
+from subtri.exact import count_ordered
+from subtri.graph_store import Graph
+from subtri.heavy import (
     HEAVY,
     LIGHT,
-    Graph,
     HeavyParams,
-    QueryOracle,
+    ceil_div_by_sqrt,
+    ceil_div_by_sqrt_array,
+    classify_batch,
     classify_heavy,
-    count_ordered,
     decision_threshold,
     degree_cutoff,
-    gen_g2_matching,
     heavy_tv_cutoff,
     light_tv_cutoff,
+    lower_median,
 )
-from subtri import heavy
-from subtri.heavy import ceil_div_by_sqrt, ceil_div_by_sqrt_array, classify_batch, lower_median
+from subtri.lb_gen import gen_g2_matching
+from subtri.query_oracle import QueryOracle
 from util import gnp_edges, wheel_like_graph
 
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from subtri import lb_gen
-from subtri import (
-    Graph,
-    count_ordered,
+from subtri.exact import count_ordered
+from subtri.graph_store import Graph
+from subtri.lb_gen import (
     gen_clique_family,
     gen_g1_bipartite,
     gen_g2_matching,

@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from subtri import ABSENT, BudgetExhausted, Graph, QueryOracle
+from subtri.graph_store import Graph
+from subtri.query_oracle import ABSENT, BudgetExhausted, QueryOracle
 from util import complete_graph, gnp_graph
 
 
@@ -92,31 +93,42 @@ class TestDistinctCounting:
 
 class TestAnswerSoundness:
     def test_answers_match_raw_graph(self):
+        # Plain-int and numpy ids alike get Python ints and bools back.
         g = gnp_graph(30, 0.2, seed=6)
-        o = QueryOracle(g, seed=1)
-        rng = random.Random(4)
-        for _ in range(500):
-            v = rng.randrange(g.n)
-            assert o.q_degree(v) == g.degree(v)
-            i = rng.randrange(1, g.degree(v) + 3) if g.degree(v) else 1
-            want = int(g.neighbors(v)[i - 1]) if i <= g.degree(v) else ABSENT
-            assert o.q_neighbor(v, i) == want
-            u = rng.randrange(g.n)
-            if u != v:
-                assert o.q_pair(u, v) == g.has_edge(u, v)
+        for cast in (int, np.int64):
+            o = QueryOracle(g, seed=1)
+            rng = random.Random(4)
+            draws = np.random.default_rng(5)
+            for _ in range(500):
+                v = cast(rng.randrange(g.n))
+                d = o.q_degree(v)
+                assert type(d) is int and d == g.degree(v)
+                i = cast(rng.randrange(1, d + 3) if d else 1)
+                want = int(g.neighbors(v)[i - 1]) if i <= d else ABSENT
+                w = o.q_neighbor(v, i)
+                assert type(w) is type(want) and w == want
+                if d:
+                    _, x = o.q_random_edge_at(v, draws)
+                    assert type(x) is int and g.has_edge(v, x)
+                u = cast(rng.randrange(g.n))
+                if u != v:
+                    adjacent = o.q_pair(u, v)
+                    assert type(adjacent) is bool and adjacent == g.has_edge(u, v)
 
     def test_errors_out_of_range(self):
-        o = triangle_oracle()
-        with pytest.raises(IndexError):
-            o.q_degree(3)
-        with pytest.raises(IndexError):
-            o.q_neighbor(-1, 1)
-        with pytest.raises(IndexError):
-            o.q_pair(0, 99)
-        with pytest.raises(ValueError):
-            o.q_pair(1, 1)
-        with pytest.raises(ValueError):
-            o.q_neighbor(0, 0)
+        for cast in (int, np.int64):
+            o = triangle_oracle()
+            with pytest.raises(IndexError):
+                o.q_degree(cast(3))
+            with pytest.raises(IndexError):
+                o.q_neighbor(cast(-1), cast(1))
+            with pytest.raises(IndexError):
+                o.q_pair(cast(0), cast(99))
+            with pytest.raises(ValueError):
+                o.q_pair(cast(1), cast(1))
+            with pytest.raises(ValueError):
+                o.q_neighbor(cast(0), cast(0))
+            assert o.stats.total == 0
 
     @pytest.mark.parametrize(
         "vs, idxs, error",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from subtri import Graph
+from subtri.graph_store import Graph
 
 
 def gnp_edges(n: int, p: float, seed: int) -> np.ndarray:
