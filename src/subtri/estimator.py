@@ -39,10 +39,6 @@ RUNS_PER_LEVEL = 2
 FEIGE_C = 10.0
 FEIGE_EPS = 0.5
 
-# Mixing constant (splitmix64's) for deriving per-vertex verdict seeds.
-_MIX = 0x9E3779B97F4A7C15
-_MASK = (1 << 63) - 1
-
 # An advice run's s2 stage draws and queries its samples in blocks of this
 # many, so its arrays stay this long whatever s2 is (up to MAX_RUN_SAMPLES).
 _S2_BLOCK = 8192
@@ -116,17 +112,6 @@ class DegreeWeightedSampler:
         return self.vertices[at], self.degrees[at]
 
 
-def _split(seed) -> tuple[np.random.Generator, int]:
-    """Derive (batch rng, verdict seed base) from one seed."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    # Child 0 once seeded a scalar random.Random; skipping it keeps the
-    # other two streams, and so every estimate's m_bar, as they were.
-    batch_ss, verdict_ss = ss.spawn(3)[1:]
-    batch = np.random.default_rng(batch_ss)
-    verdict_base = int(verdict_ss.generate_state(2, np.uint64)[0])
-    return batch, verdict_base
-
-
 def estimate_with_advice(
     oracle: QueryOracle,
     m_bar: float,
@@ -149,20 +134,20 @@ def estimate_with_advice(
     A sample probes at all with probability min(1, d_u / sqrt(m_bar)) and
     then makes ceil(d_u / sqrt(m_bar)) probes (one when d_u^2 <= m_bar), so
     low-degree endpoints usually cost nothing. Every vertex is classified at
-    most once, with coins seeded per vertex, and its verdict is kept in
-    verdict_cache (vertex -> verdict; a new dict when none is passed). A cache
-    shared between runs realizes fixed coins across the sharing runs.
-    params defaults to the practical profile.
+    most once, and its verdict is kept in verdict_cache (vertex -> verdict; a
+    new dict when none is passed). A cache shared between runs realizes
+    fixed coins across the sharing runs. params defaults to the practical
+    profile.
 
-    Draws come from one numpy Generator per run, and the s2 samples go in
-    blocks of _S2_BLOCK. Within a block the queries run in this order: the
-    block's edge queries (q_neighbor_batch) and the degrees of their far
-    ends; then the probes of all kept samples at once (closing_hits:
-    q_neighbor_batch, q_pair_batch on the probes that are neither v nor x,
-    q_degree_batch on the closers); then one classify_batch call for every
-    vertex of the block's hits that verdict_cache lacks, each drawing from
-    np.random.default_rng of its own seed; then the hits are scored from
-    verdict_cache. The set of queries a run asks is fixed by its draws and
+    Every draw, the classifier's included, comes from the run's one
+    Generator, np.random.default_rng(seed), and the s2 samples go in blocks
+    of _S2_BLOCK. Within a block the queries run in this order: the block's
+    edge queries (q_neighbor_batch) and the degrees of their far ends; then
+    the probes of all kept samples at once (closing_hits: q_neighbor_batch,
+    q_pair_batch on the probes that are neither v nor x, q_degree_batch on
+    the closers); then one classify_batch call, drawing from the run's
+    Generator, for every vertex of the block's hits that verdict_cache
+    lacks; then the hits are scored from verdict_cache. The set of queries a run asks is fixed by its draws and
     the verdicts, so the estimate does not depend on that order as long as
     the budget holds. The charged count can: a pair query is free when a
     neighbor answer revealed the pair first, so the order decides how many
@@ -175,7 +160,7 @@ def estimate_with_advice(
         raise ValueError("advice must be positive")
     if verdict_cache is None:
         verdict_cache = {}
-    np_rng, verdict_base = _split(seed)
+    np_rng = np.random.default_rng(seed)
     n = oracle.n
 
     s1 = max(1, math.ceil(eps**-3 * math.log(n / eps) * n / t_bar ** (1.0 / 3.0)))
@@ -216,8 +201,7 @@ def estimate_with_advice(
         need, where = np.unique(np.concatenate((vs[hit_at], xs[hit_at], ws)), return_inverse=True)
         todo = [u for u in need.tolist() if u not in verdict_cache]
         if todo:
-            rngs = [np.random.default_rng((verdict_base ^ (u * _MIX)) & _MASK) for u in todo]
-            found = classify_batch(oracle, todo, m_bar, t_bar, eps, params.heavy_params, rngs)
+            found = classify_batch(oracle, todo, m_bar, t_bar, eps, params.heavy_params, np_rng)
             verdict_cache.update(zip(todo, (verdict for verdict, _ in found)))
         light = np.array([verdict_cache[u] == LIGHT for u in need.tolist()])[where].reshape(3, -1)
         # A hit scores only when v is light, split across its light vertices.
@@ -236,7 +220,7 @@ def feige_avg_degree(oracle: QueryOracle, seed=None) -> float:
     result lands in [d_avg / (2 + o(1)), d_avg] with constant probability per
     invocation, amplified by the median.
     """
-    np_rng, _ = _split(seed)
+    np_rng = np.random.default_rng(seed)
     n = oracle.n
     reps = max(1, math.ceil(10.0 * math.log(max(n, 2))))
     k = max(1, math.ceil(FEIGE_C * math.sqrt(n) / FEIGE_EPS))

@@ -176,14 +176,14 @@ def _count_ordered(graph: Graph) -> TriangleStats:
     try:
         # The n-sized arrays, allocated together. Past the memory the graph's
         # own arrays left, n is too large, as Graph.from_edges reports it.
-        # np.repeat copies the read-only degrees, one more of them.
         rank = np.empty(n, dtype=np.int64)
         # A stable sort by degree breaks degree ties by id.
         rank[np.argsort(graph.degrees, kind="stable")] = np.arange(n, dtype=np.int64)
-        src_rank = np.repeat(rank, graph.degrees)
         row_bounds = np.zeros(n + 1, dtype=np.int64)
     except MemoryError:
         raise ValueError(f"vertex count {n} needs more memory than is available") from None
+    # The slots' end ranks, 2m long each: past here a MemoryError names the edge count.
+    src_rank = np.repeat(rank, graph.degrees)
     tgt_rank = rank[targets]
     forward = tgt_rank > src_rank
     fwd = np.flatnonzero(forward)

@@ -154,14 +154,15 @@ def classify_batch(
     t_bar: float,
     eps: float,
     params: HeavyParams | None,
-    rngs,
+    rng: np.random.Generator,
 ) -> list[tuple[str, tuple[float, ...]]]:
-    """Classify the vertices vs at once; vertex vs[k] draws from rngs[k].
+    """Classify the vertices vs at once, drawing from rng.
 
     Returns (verdict, per-repetition t_v estimates) per vertex, in the order
-    of vs; the estimates are empty when a degree shortcut decided. Each
-    vertex draws only from its own Generator, in a sequence fixed by the
-    vertex alone, so no verdict depends on batch order or batch membership.
+    of vs; the estimates are empty when a degree shortcut decided. A verdict
+    depends on the vertices that share the call, since they share rng's
+    stream; a caller that needs one verdict per vertex keeps the first, as
+    estimate_with_advice's verdict_cache does.
 
     Sampling, per vertex: reps * s uniform edges (v, x); each scores d_u,
     the smaller endpoint degree, for each of its ceil(d_u / sqrt(m_bar))
@@ -172,17 +173,16 @@ def classify_batch(
     The queries go in batches: one q_degree_batch of vs (degree 0 is LIGHT
     and degree above degree_cutoff HEAVY, without sampling), then per chunk
     of samples the edges (q_neighbor_batch), their far ends' degrees, and
-    closing_hits' probes, pairs and closer degrees. A chunk holds at most
-    _CHUNK_SAMPLES samples. A vertex with more samples than that takes them
-    in pieces of _CHUNK_SAMPLES, each piece drawing its edge indices and then
-    its probe indices; a vertex that fits draws in that order once.
+    closing_hits' probes, pairs and closer degrees. The sampled vertices'
+    samples are numbered in a row, vertex by vertex and repetition by
+    repetition, and cut into chunks of at most _CHUNK_SAMPLES; each chunk
+    draws its edge indices and then its probe indices.
     """
     if params is None:
         params = HeavyParams()
     eps = min(eps, 0.5)
-    vs = np.asarray(vs, dtype=np.int64)
-    if len(rngs) != vs.size:
-        raise ValueError("classify_batch() needs one rng per vertex")
+    # q_degree_batch refuses non-integer ids, which a cast here would truncate.
+    vs = np.asarray(vs)
     dvs = oracle.q_degree_batch(vs)
     cutoff = degree_cutoff(m_bar, t_bar, eps)
     # The degree shortcuts' verdicts; the sampled vertices' entries are
@@ -194,13 +194,23 @@ def classify_batch(
     reps = params.resolve_outer(oracle.n)
     s = params.resolve_s(m_bar, t_bar, eps)
     vs, dvs = vs[sampling], dvs[sampling]
-    rngs = [rngs[i] for i in sampling.tolist()]
+    # y[position * reps + repetition] sums that repetition's scores.
     y = np.zeros(sampling.size * reps)
-    for chunk in _chunks(sampling.size, reps * s):
-        first, last = chunk[0][0], chunk[-1][0]
-        y[first * reps:(last + 1) * reps] += _chunk_rep_sums(
-            oracle, vs, dvs, rngs, chunk, m_bar, s, reps
-        )
+    total = y.size * s
+    for lo in range(0, total, _CHUNK_SAMPLES):
+        k = np.arange(lo, min(total, lo + _CHUNK_SAMPLES))
+        at = k // (reps * s)
+        v, d_v = vs[at], dvs[at]
+        x = oracle.q_neighbor_batch(v, rng.integers(1, d_v + 1))
+        d_x = oracle.q_degree_batch(x)
+        d_u = np.minimum(d_v, d_x)
+        r = ceil_div_by_sqrt_array(d_u, m_bar)
+        probe_of = np.repeat(np.arange(k.size), r)
+        hit_at, _ = closing_hits(oracle, v, x, d_v, d_x, probe_of, rng.integers(1, d_u[probe_of] + 1))
+        hits = np.bincount(hit_at, minlength=k.size)
+        first = lo // s
+        sums = np.bincount(k // s - first, weights=hits * d_u / r)
+        y[first:first + sums.size] += sums
     estimates = dvs[:, None] * y.reshape(-1, reps) / s
     medians = np.sort(estimates, axis=1)[:, (reps - 1) // 2]
     threshold = decision_threshold(t_bar, eps)
@@ -209,60 +219,11 @@ def classify_batch(
     return found
 
 
-# classify_batch queries the samples of its vertices in chunks of at most
-# this many (and splits a vertex with more into pieces of this many), so its
-# arrays stay this long whatever reps * s is. The theoretical profile's
-# 30 * 1644 samples per vertex (criterion 7) fit in one piece.
+# classify_batch queries its samples in chunks of at most this many, so its
+# arrays stay this long whatever the vertex count and reps * s are. The
+# theoretical profile's 30 * 1644 samples per vertex (criterion 7) fit in
+# one chunk.
 _CHUNK_SAMPLES = 1 << 16
-
-
-def _chunks(count: int, total: int):
-    """Group `count` vertices of `total` samples each into chunks of at most
-    _CHUNK_SAMPLES samples, as lists of (vertex position, lo, hi) pieces."""
-    bound = _CHUNK_SAMPLES
-    chunk, size = [], 0
-    for pos in range(count):
-        for lo in range(0, total, bound):
-            hi = min(total, lo + bound)
-            if chunk and size + hi - lo > bound:
-                yield chunk
-                chunk, size = [], 0
-            chunk.append((pos, lo, hi))
-            size += hi - lo
-    yield chunk
-
-
-def _chunk_rep_sums(oracle, vs, dvs, rngs, chunk, m_bar, s, reps) -> np.ndarray:
-    """Per-repetition score sums of one chunk's pieces, for the vertex
-    positions chunk[0][0]..chunk[-1][0], flattened (position, repetition).
-
-    Only a piece that fills the chunk can be a vertex's non-last piece, so
-    no chunk holds two pieces of one vertex and each piece draws its edge
-    indices before its probe indices.
-    """
-    pos = np.array([p for p, _, _ in chunk], dtype=np.int64)
-    lens = np.array([hi - lo for _, lo, hi in chunk], dtype=np.int64)
-    idxs = np.concatenate([
-        rngs[p].integers(1, dvs[p] + 1, size=hi - lo) for p, lo, hi in chunk
-    ])
-    at = np.repeat(pos, lens)
-    v, d_v = vs[at], dvs[at]
-    x = oracle.q_neighbor_batch(v, idxs)
-    d_x = oracle.q_degree_batch(x)
-    d_u = np.minimum(d_v, d_x)
-    r = ceil_div_by_sqrt_array(d_u, m_bar)
-    probe_at = np.concatenate(([0], np.cumsum(r)))
-    starts = np.concatenate(([0], np.cumsum(lens)))
-    highs = np.repeat(d_u, r) + 1
-    probes = np.concatenate([
-        rngs[p].integers(1, highs[probe_at[a]:probe_at[b]])
-        for (p, _, _), a, b in zip(chunk, starts[:-1].tolist(), starts[1:].tolist())
-    ])
-    hit_at, _ = closing_hits(oracle, v, x, d_v, d_x, np.repeat(np.arange(at.size), r), probes)
-    hits = np.bincount(hit_at, minlength=at.size)
-    rep = np.concatenate([np.arange(lo, hi) for _, lo, hi in chunk]) // s
-    keys = (at - pos[0]) * reps + rep
-    return np.bincount(keys, weights=hits * d_u / r, minlength=(pos[-1] - pos[0] + 1) * reps)
 
 
 def classify_heavy(
@@ -278,11 +239,11 @@ def classify_heavy(
     on v alone, drawing from rng.
 
     The rng is required (it defaults to None only so that params can keep
-    its default); pass a per-vertex seeded np.random.default_rng for
-    fixed-coins behavior (the same vertex always gets the same verdict).
+    its default). The same vertex, m_bar, t_bar, params and rng state give
+    the same verdict.
     """
     if rng is None:
         raise TypeError("classify_heavy() needs an rng")
     before = oracle.stats.total
-    [(verdict, medians)] = classify_batch(oracle, [v], m_bar, t_bar, eps, params, [rng])
+    [(verdict, medians)] = classify_batch(oracle, [v], m_bar, t_bar, eps, params, rng)
     return HeavyVerdict(verdict, medians, oracle.stats.total - before)

@@ -51,6 +51,15 @@ class QueryStats:
         }
 
 
+def _int64(values, what: str = "vertex ids") -> np.ndarray:
+    """values as an int64 array. Floats and other non-integer kinds are
+    refused rather than truncated; an empty input of any kind is allowed."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct entries of values, ascending: np.unique by one sort and
     one compare, several times cheaper than np.unique (numpy 2.4) on the
@@ -90,17 +99,17 @@ class QueryOracle:
     and q_pair are the kernel on one item; only q_neighbor's ABSENT answer,
     an index past the degree, is charged outside it. A batch charges its
     fresh distinct items in order of first occurrence, as the one-item calls
-    in array order would, and a trip leaves neighbor + pair == cap. Draws
-    come from numpy Generators only: sample_vertices and q_random_edge_at
-    use the caller's Generator or the oracle's own, seeded from seed.
+    in array order would, and a trip leaves neighbor + pair == cap. Vertex
+    ids and neighbor indices must be integers; a float is refused with a
+    ValueError before anything is charged, not truncated. Draws come from
+    numpy Generators only: sample_vertices and q_random_edge_at use the
+    caller's Generator or the oracle's own, np.random.default_rng(seed).
     """
 
     def __init__(self, graph: Graph, seed: int | None = None, budget: int | None = None):
         self.graph = graph
         self.n = graph.n
-        # Child 0 once seeded a scalar random.Random; drawing from child 1
-        # keeps every sample_vertices stream as it was.
-        self._np_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+        self._np_rng = np.random.default_rng(seed)
         self._deg_seen = np.zeros(graph.n, dtype=bool)
         self._deg_count = 0
         self._nbr_seen = np.zeros(len(graph.targets), dtype=bool)
@@ -138,7 +147,7 @@ class QueryOracle:
 
     def q_degree_batch(self, vs: np.ndarray) -> np.ndarray:
         """Degree-query many vertices at once; counts each distinct vertex once."""
-        vs = np.asarray(vs, dtype=np.int64)
+        vs = _int64(vs)
         if vs.size:
             if vs.min() < 0 or vs.max() >= self.n:
                 raise IndexError("vertex out of range")
@@ -152,6 +161,8 @@ class QueryOracle:
     def q_neighbor(self, v: int, i: int):
         """The i-th neighbor of v (1-indexed), or ABSENT when i exceeds the
         degree: q_neighbor_batch on the one pair, but for ABSENT."""
+        _int64(v)
+        _int64(i, "neighbor indices")
         if not 0 <= v < self.n:
             raise IndexError(f"vertex {v} out of range")
         if i < 1:
@@ -177,8 +188,8 @@ class QueryOracle:
         charged and BudgetExhausted is raised, so the memo ends as that
         loop's does at its trip.
         """
-        vs = np.asarray(vs, dtype=np.int64)
-        idxs = np.asarray(idxs, dtype=np.int64)
+        vs = _int64(vs)
+        idxs = _int64(idxs, "neighbor indices")
         if vs.shape != idxs.shape or vs.ndim != 1:
             raise ValueError("vertices and indices must be 1-d arrays of one length")
         if not vs.size:
@@ -218,8 +229,8 @@ class QueryOracle:
         so the memo ends as the scalar loop's does at its trip. Answers and
         the memo's slots come from Graph.edge_slots.
         """
-        us = np.asarray(us, dtype=np.int64)
-        ws = np.asarray(ws, dtype=np.int64)
+        us = _int64(us)
+        ws = _int64(ws)
         if us.shape != ws.shape or us.ndim != 1:
             raise ValueError("pair ends must be 1-d arrays of one length")
         if not us.size:

@@ -156,6 +156,23 @@ class TestExact:
             "error: edge count 6 needs more memory than is available\n"
         )
 
+    def test_slot_ranks_memory_names_the_edge_count(self, tmp_path, capsys):
+        # The slots' source ranks, np.repeat of the n ranks, are 2m long.
+        class NoMemoryNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def repeat(*args, **kwargs):
+                raise MemoryError
+
+        with mock.patch.object(exact, "np", NoMemoryNumpy()):
+            code = main(["exact", "--input", k4_path(tmp_path)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: edge count 6 needs more memory than is available\n"
+        )
+
 
 class TestEstimate:
     def test_slot_lookup_memory_is_exit_three(self, tmp_path, capsys):

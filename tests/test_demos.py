@@ -1,12 +1,15 @@
 """Each demo script, and the README quickstart, runs to completion against
-the package sources."""
+the package sources, and the README's CLI transcript is what the CLI prints."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from subtri.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -38,3 +41,34 @@ def test_readme_quickstart_prints_its_comments():
     proc = run_python("-c", block)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:4] == ["2", "2.0", "True", "budget"]
+
+
+def readme_cli_transcript() -> list[tuple[str, str]]:
+    """The README's CLI section as (command, the lines after it) pairs, in
+    order: each "$ " line of its code blocks and what it printed."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    steps = []
+    for block in section.split("```\n")[1::2]:
+        for step in ("\n" + block).split("\n$ ")[1:]:
+            command, _, output = step.partition("\n")
+            steps.append((command, output))
+    return steps
+
+
+def test_readme_cli_transcript_matches_main(tmp_path, monkeypatch, capsys):
+    # The README's gen, exact, estimate --seed 1 and bench example, run in
+    # process; `cat manifest.json` writes the manifest the bench reads.
+    monkeypatch.chdir(tmp_path)
+    steps = readme_cli_transcript()
+    assert [shlex.split(command)[:2] for command, _ in steps] == [
+        ["subtri", "gen"], ["subtri", "exact"], ["subtri", "estimate"],
+        ["cat", "manifest.json"], ["subtri", "bench"],
+    ]
+    for command, output in steps:
+        argv = shlex.split(command)
+        if argv[0] == "cat":
+            Path(argv[1]).write_text(output, encoding="utf-8")
+            continue
+        assert main(argv[1:]) == 0, command
+        assert capsys.readouterr().out.splitlines() == output.splitlines(), command

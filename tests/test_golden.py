@@ -171,65 +171,65 @@ def run_exact_cli(tmp_path, capsys) -> dict:
     return digests
 
 
-# Recorded from the batched classifier: one numpy Generator per classified
-# vertex, and one classifier call per block of an advice run's samples.
-GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 9153.767903573647,
+# Recorded from the batched classifier drawing from its run's Generator,
+# with one classifier call per block of an advice run's samples.
+GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 7212.059560391357,
                           'queries': {'degree': 256,
-                                      'neighbor': 8196,
-                                      'pair': 3094,
+                                      'neighbor': 8168,
+                                      'pair': 3133,
                                       'vertex_samples': 25288,
-                                      'total': 11546},
+                                      'total': 11557},
                           'runs': 26,
                           't_bar': 4096.0,
                           'fallback_used': False,
                           'fallback_reason': None},
- ('skewed', None, 0): {'estimate': 22354.445269847376,
+ ('skewed', None, 0): {'estimate': 31285.135115018566,
                        'queries': {'degree': 2000,
-                                   'neighbor': 13157,
-                                   'pair': 5302,
+                                   'neighbor': 12945,
+                                   'pair': 5138,
                                    'vertex_samples': 120295,
-                                   'total': 20459},
+                                   'total': 20083},
                        'runs': 40,
                        't_bar': 15258.7890625,
                        'fallback_used': False,
                        'fallback_reason': None},
  ('k40', None, 0): {'estimate': 9880.0,
                     'queries': {'degree': 40,
-                                'neighbor': 1307,
-                                'pair': 253,
+                                'neighbor': 1316,
+                                'pair': 244,
                                 'vertex_samples': 5204,
                                 'total': 1600},
                     'runs': 8,
                     't_bar': None,
                     'fallback_used': True,
                     'fallback_reason': 'budget'},
- ('gnp', None, 1): {'estimate': 32117.626953601586,
+ ('gnp', None, 1): {'estimate': 31473.712132151886,
                     'queries': {'degree': 200,
-                                'neighbor': 3759,
-                                'pair': 2085,
-                                'vertex_samples': 17589,
-                                'total': 6044},
-                    'runs': 18,
-                    't_bar': 31250.0,
+                                'neighbor': 5689,
+                                'pair': 3096,
+                                'vertex_samples': 18357,
+                                'total': 8985},
+                    'runs': 20,
+                    't_bar': 15625.0,
                     'fallback_used': False,
                     'fallback_reason': None},
  ('clique-n3000', None, 1): {'estimate': 120.0,
                              'queries': {'degree': 3000,
-                                         'neighbor': 56,
-                                         'pair': 18,
-                                         'vertex_samples': 185846,
+                                         'neighbor': 57,
+                                         'pair': 17,
+                                         'vertex_samples': 115456,
                                          'total': 3074},
-                             'runs': 44,
+                             'runs': 33,
                              't_bar': None,
                              'fallback_used': True,
                              'fallback_reason': 'budget'},
  ('bipartite-side6', None, 0): {'estimate': 0.0,
                                 'queries': {'degree': 12,
-                                            'neighbor': 59,
-                                            'pair': 13,
-                                            'vertex_samples': 2806,
+                                            'neighbor': 57,
+                                            'pair': 15,
+                                            'vertex_samples': 2968,
                                             'total': 84},
-                                'runs': 15,
+                                'runs': 16,
                                 't_bar': None,
                                 'fallback_used': True,
                                 'fallback_reason': 'budget'},
@@ -245,152 +245,170 @@ GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 9153.767903573647,
                                    'fallback_reason': 'descent_exhausted'},
  ('skewed', 3000, 3): {'estimate': 33741.0,
                        'queries': {'degree': 2000,
-                                   'neighbor': 2182,
-                                   'pair': 818,
-                                   'vertex_samples': 91681,
+                                   'neighbor': 2436,
+                                   'pair': 564,
+                                   'vertex_samples': 97728,
                                    'total': 5000},
-                       'runs': 32,
+                       'runs': 34,
                        't_bar': None,
                        'fallback_used': True,
                        'fallback_reason': 'budget'},
  ('gnp', 40, 1): {'estimate': 36421.0,
                   'queries': {'degree': 200,
-                              'neighbor': 37,
-                              'pair': 3,
-                              'vertex_samples': 15217,
+                              'neighbor': 39,
+                              'pair': 1,
+                              'vertex_samples': 15047,
                               'total': 240},
-                  'runs': 3,
+                  'runs': 0,
                   't_bar': None,
                   'fallback_used': True,
                   'fallback_reason': 'budget'}}
-GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [245.96721311475403],
+GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639344262295],
                                              'stats': {'degree': 12,
                                                        'neighbor': 132,
-                                                       'pair': 7,
+                                                       'pair': 3,
                                                        'vertex_samples': 32,
-                                                       'total': 151},
+                                                       'total': 147},
                                              'heavy': [],
-                                             'light': [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]},
- ('k40', 780.0, 16000.0, 'practical', (1, 2)): {'values': [10140.0, 3380.0],
+                                             'light': [0,
+                                                       1,
+                                                       2,
+                                                       3,
+                                                       4,
+                                                       5,
+                                                       6,
+                                                       7,
+                                                       8,
+                                                       9,
+                                                       10,
+                                                       11]},
+ ('k40', 780.0, 16000.0, 'practical', (1, 2)): {'values': [6760.0, 15210.0],
                                                 'stats': {'degree': 40,
-                                                          'neighbor': 402,
-                                                          'pair': 124,
+                                                          'neighbor': 457,
+                                                          'pair': 165,
                                                           'vertex_samples': 112,
-                                                          'total': 566},
-                                                'heavy': [29, 32],
-                                                'light': [12, 13, 15, 28, 34, 37]},
- ('wheel', 99.0, 81.0, 'practical', (3, 4)): {'values': [28.988970588235293, 59.375],
+                                                          'total': 662},
+                                                'heavy': [7, 24, 26],
+                                                'light': [4,
+                                                          9,
+                                                          17,
+                                                          21,
+                                                          27,
+                                                          31,
+                                                          36]},
+ ('wheel', 99.0, 81.0, 'practical', (3, 4)): {'values': [85.3952205882353,
+                                                         60.42279411764706],
                                               'stats': {'degree': 19,
-                                                        'neighbor': 154,
-                                                        'pair': 41,
+                                                        'neighbor': 178,
+                                                        'pair': 42,
                                                         'vertex_samples': 256,
-                                                        'total': 214},
+                                                        'total': 239},
                                               'heavy': [18],
-                                              'light': [0, 1, 4, 10, 13, 17]},
- ('skewed', 18000.0, 30000.0, 'practical', (4, 5)): {'values': [36954.77960010634,
-                                                                41469.95882448528],
-                                                     'stats': {'degree': 1982,
-                                                               'neighbor': 4141,
-                                                               'pair': 1645,
+                                              'light': [0,
+                                                        1,
+                                                        3,
+                                                        4,
+                                                        6,
+                                                        7,
+                                                        9,
+                                                        11,
+                                                        12,
+                                                        13,
+                                                        15,
+                                                        16,
+                                                        17]},
+ ('skewed', 18000.0, 30000.0, 'practical', (4, 5)): {'values': [31960.459093950783,
+                                                                22016.171988094266],
+                                                     'stats': {'degree': 1993,
+                                                               'neighbor': 3707,
+                                                               'pair': 1357,
                                                                'vertex_samples': 8542,
-                                                               'total': 7768},
+                                                               'total': 7057},
                                                      'heavy': [0,
                                                                1,
                                                                2,
                                                                3,
+                                                               4,
                                                                5,
                                                                6,
                                                                7,
                                                                8,
-                                                               9,
-                                                               10,
-                                                               12,
-                                                               13,
-                                                               21,
-                                                               25],
-                                                     'light': [4,
+                                                               14,
                                                                15,
+                                                               50,
+                                                               57],
+                                                     'light': [9,
+                                                               11,
+                                                               13,
                                                                16,
-                                                               19,
-                                                               22,
+                                                               17,
+                                                               18,
+                                                               20,
+                                                               21,
+                                                               24,
                                                                26,
-                                                               29,
-                                                               32,
-                                                               34,
-                                                               36,
-                                                               39,
-                                                               43,
+                                                               31,
+                                                               37,
+                                                               44,
+                                                               45,
                                                                47,
-                                                               48,
-                                                               54,
-                                                               55,
-                                                               56,
-                                                               58,
-                                                               65,
-                                                               66,
-                                                               72,
+                                                               53,
+                                                               60,
+                                                               69,
                                                                74,
+                                                               75,
                                                                85,
-                                                               93,
-                                                               108,
-                                                               109,
-                                                               139,
+                                                               86,
+                                                               88,
+                                                               99,
+                                                               119,
                                                                147,
-                                                               149,
-                                                               182,
+                                                               148,
                                                                183,
-                                                               185,
-                                                               187,
-                                                               197,
-                                                               218,
-                                                               253,
-                                                               275,
-                                                               284,
-                                                               291,
-                                                               304,
-                                                               314,
-                                                               336,
-                                                               399,
-                                                               422,
-                                                               447,
-                                                               454,
-                                                               507,
-                                                               567,
-                                                               716,
-                                                               940,
-                                                               1127,
-                                                               1547,
-                                                               1895]},
- ('gnp', 6000.0, 30000.0, 'practical', (6,)): {'values': [35436.87249463765],
-                                               'stats': {'degree': 200,
-                                                         'neighbor': 977,
-                                                         'pair': 515,
+                                                               223,
+                                                               248,
+                                                               329,
+                                                               337,
+                                                               397,
+                                                               450,
+                                                               484,
+                                                               669,
+                                                               730,
+                                                               966,
+                                                               973,
+                                                               1614,
+                                                               1694]},
+ ('gnp', 6000.0, 30000.0, 'practical', (6,)): {'values': [40227.45864504591],
+                                               'stats': {'degree': 198,
+                                                         'neighbor': 1016,
+                                                         'pair': 525,
                                                          'vertex_samples': 309,
-                                                         'total': 1692},
+                                                         'total': 1739},
                                                'heavy': [],
-                                               'light': [7,
-                                                         15,
+                                               'light': [11,
                                                          21,
+                                                         22,
+                                                         23,
                                                          29,
                                                          30,
-                                                         37,
-                                                         49,
-                                                         59,
-                                                         64,
-                                                         68,
-                                                         78,
-                                                         79,
-                                                         83,
-                                                         92,
-                                                         96,
-                                                         146,
-                                                         160,
-                                                         164,
-                                                         165,
-                                                         169,
-                                                         170,
-                                                         178,
-                                                         194]}}
+                                                         53,
+                                                         55,
+                                                         60,
+                                                         74,
+                                                         75,
+                                                         82,
+                                                         85,
+                                                         89,
+                                                         90,
+                                                         100,
+                                                         115,
+                                                         117,
+                                                         130,
+                                                         144,
+                                                         150,
+                                                         154,
+                                                         155,
+                                                         185]}}
 GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
                                 'medians': [80.04098360655738,
                                             76.35245901639344,
@@ -423,9 +441,9 @@ GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
  ('gnp', 10, 6000.0, 30000.0, 6): {'verdict': 'light',
                                    'medians': [1573.8, 356.85, 689.3],
                                    'queries_used': 171}}
-GOLDEN_CLI = {'estimate-json': '289532fe83761586427e1f8c4a60f9b2d54cd59edfb06682be106dad21495c00',
- 'estimate-plain': 'b56433584e6a9912bd15db62f00505b8b227ef708064aa2798b53febef23e300',
- 'bench-csv': 'e85aed857df5718130a8ebab313a9f82790b167f79869f977b7f2971061d9eaf'}
+GOLDEN_CLI = {'estimate-json': 'fe8ec8c02ddcf1cd2c651c71e296cfd161a6fa7fdbd88ae50d272ab0132a42c1',
+ 'estimate-plain': '9d0f0fb1b590adbad85f37d80ba0bc7d2f549b16f303bbe18a5615016ecea002',
+ 'bench-csv': '6fc40d3fadaf9e4b50c0eb388e5e62aec322dd5565cb639e61677b818436d9b6'}
 
 # Recorded from the revision before the vectorized exact counter.
 GOLDEN_EXACT_CLI = {

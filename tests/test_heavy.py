@@ -111,6 +111,13 @@ class TestShortcuts:
         assert verdict.queries_used == 1
 
 
+    def test_non_integer_vertex_is_refused(self):
+        o, _ = star_oracle(10)
+        with pytest.raises(ValueError, match="vertex ids must be integers, got float64"):
+            classify_heavy(o, 1.5, m_bar=10, t_bar=1, eps=0.5, rng=np.random.default_rng(0))
+        assert o.stats.total == 0
+
+
 class TestSampledVerdicts:
     def test_star_center_below_cutoff_is_light_with_zero_estimates(self):
         # Degree 10 stays under the cutoff (about 25), and no probe can close
@@ -177,50 +184,75 @@ class TestSampledVerdicts:
 
 class TestBatchKernel:
     @staticmethod
-    def classify(oracle, vs, how):
-        """classify_batch on vs, with vertex v drawing from default_rng(100 + v),
-        in one call ("one"), reversed ("reversed") or one vertex per call."""
-        advice = dict(m_bar=float(oracle.graph.m), t_bar=300.0, eps=0.5,
-                        params=HeavyParams(outer_reps=3, s_scale=1.0 / 64.0))
-
-        def run(batch):
-            rngs = [np.random.default_rng(100 + v) for v in batch]
-            return classify_batch(oracle, batch, rngs=rngs, **advice)
-
-        if how == "one":
-            return run(vs)
-        if how == "reversed":
-            return run(vs[::-1])[::-1]
-        return [found for v in vs for found in run([v])]
+    def reference(oracle, vs, m_bar, t_bar, eps, params, rng, chunk):
+        """classify_batch replayed in plain Python: the same Generator draws,
+        chunk by chunk of `chunk` samples, answered by scalar q_degree,
+        q_neighbor and q_pair and closed with Graph.precedes."""
+        g = oracle.graph
+        eps = min(eps, 0.5)
+        reps, s = params.resolve_outer(oracle.n), params.resolve_s(m_bar, t_bar, eps)
+        degs = [oracle.q_degree(v) for v in vs]
+        found = [(LIGHT if d == 0 else HEAVY, ()) for d in degs]
+        sampled = [i for i, d in enumerate(degs) if 0 < d <= degree_cutoff(m_bar, t_bar, eps)]
+        samples = [(i, rep) for i in sampled for rep in range(reps) for _ in range(s)]
+        sums = dict.fromkeys(samples, 0.0)
+        for lo in range(0, len(samples), chunk):
+            part = samples[lo:lo + chunk]
+            idxs = rng.integers(1, np.array([degs[i] for i, _ in part]) + 1).tolist()
+            edges = []
+            for (i, _), idx in zip(part, idxs):
+                v = vs[i]
+                x = oracle.q_neighbor(v, idx)
+                d_u = min(degs[i], oracle.q_degree(x))
+                u, o = (x, v) if g.precedes(x, v) else (v, x)
+                edges.append((v, x, u, o, d_u, ceil_div_by_sqrt(d_u, m_bar)))
+            highs = [d_u for *_, d_u, r in edges for _ in range(r)]
+            probes = iter(rng.integers(1, np.array(highs) + 1).tolist())
+            partial = {}
+            for key, (v, x, u, o, d_u, r) in zip(part, edges):
+                hits = 0
+                for _ in range(r):
+                    w = oracle.q_neighbor(u, next(probes))
+                    if w not in (v, x) and oracle.q_pair(o, w):
+                        oracle.q_degree(w)
+                        hits += g.precedes(x, w)
+                partial[key] = partial.get(key, 0.0) + hits * d_u / r
+            for key, value in partial.items():
+                sums[key] += value
+        threshold = decision_threshold(t_bar, eps)
+        for i in sampled:
+            row = tuple(degs[i] * sums[i, rep] / s for rep in range(reps))
+            found[i] = (HEAVY if lower_median(row) > threshold else LIGHT, row)
+        return found
 
     @pytest.mark.parametrize("bound", [None, 60])
-    def test_verdicts_do_not_depend_on_batching(self, bound, monkeypatch):
-        # Each vertex draws only from its own Generator, so one call, the
-        # reversed order and one vertex per call reach the same verdicts and
-        # estimates, and ask the same queries. A bound of 60 splits each
-        # vertex's 153 samples into pieces of 60, 60 and 33, and a vertex's
-        # first piece would fit beside the previous vertex's last one.
+    def test_matches_plain_python_reference(self, bound, monkeypatch):
+        # Each vertex has 3 repetitions of 8 samples. A bound of 60 cuts
+        # the samples so that vertices and repetitions straddle two chunks.
         if bound is not None:
             monkeypatch.setattr(heavy, "_CHUNK_SAMPLES", bound)
+        chunk = heavy._CHUNK_SAMPLES
         # G(60, 0.3) and two isolated vertices, which the degree shortcut decides.
         g = Graph.from_edges(62, gnp_edges(60, 0.3, seed=1))
         vs = list(range(0, 60, 3)) + [60, 61]
-        outcomes, oracles = [], []
-        for how in ("one", "reversed", "single"):
-            o = QueryOracle(g, seed=0)
-            outcomes.append(self.classify(o, vs, how))
-            oracles.append(o)
-        assert outcomes[0] == outcomes[1] == outcomes[2]
-        verdicts = [verdict for verdict, _ in outcomes[0]]
+        # At m_bar 150 an endpoint of degree over 12 makes 2 probes.
+        advice = (150.0, 300.0, 0.5, HeavyParams(outer_reps=3, s_scale=1.0 / 64.0))
+        assert advice[3].resolve_s(*advice[:3]) == 8
+        oracles = [QueryOracle(g, seed=0) for _ in range(2)]
+        rngs = [np.random.default_rng(5) for _ in range(2)]
+        found = classify_batch(oracles[0], vs, *advice, rngs[0])
+        assert found == self.reference(oracles[1], vs, *advice, rngs[1], chunk)
+        assert rngs[0].random() == rngs[1].random()
+        verdicts = [verdict for verdict, _ in found]
         assert HEAVY in verdicts and LIGHT in verdicts
-        assert outcomes[0][-2:] == [(LIGHT, ()), (LIGHT, ())]
-        assert all(len(est) == 3 for _, est in outcomes[0][:-2])
-        # The queries asked, and so what the oracle knows, are the same. The
-        # pair charge is not compared: a pair query is free when a neighbor
-        # answer revealed the pair first, so it depends on the order.
-        stats = [(o.stats.degree, o.stats.neighbor, o.stats.vertex_samples) for o in oracles]
-        assert stats[0] == stats[1] == stats[2]
-        assert known_pairs(oracles[0]) == known_pairs(oracles[1]) == known_pairs(oracles[2])
+        assert found[-2:] == [(LIGHT, ()), (LIGHT, ())]
+        assert all(len(est) == 3 for _, est in found[:-2])
+        # Both asked the same queries. The pair charge is not compared: a
+        # pair query is free when a neighbor answer revealed the pair first,
+        # so it depends on the order.
+        stats = [(o.stats.degree, o.stats.neighbor) for o in oracles]
+        assert stats[0] == stats[1]
+        assert known_pairs(oracles[0]) == known_pairs(oracles[1])
 
     def test_shortcuts_and_samplers_mix_in_one_call(self):
         g, hub = wheel_like_graph()
@@ -229,13 +261,8 @@ class TestBatchKernel:
         # and rim degrees (10) are not.
         found = classify_batch(
             o, [0, hub, 9], 99.0, 10000.0, 0.5, HeavyParams(outer_reps=2, s_scale=0.01),
-            [np.random.default_rng(k) for k in range(3)],
+            np.random.default_rng(0),
         )
         assert found[1] == (HEAVY, ())
         assert [verdict for verdict, _ in found] == [LIGHT, HEAVY, LIGHT]
         assert len(found[0][1]) == len(found[2][1]) == 2
-
-    def test_needs_one_rng_per_vertex(self):
-        o, center = star_oracle(10)
-        with pytest.raises(ValueError, match="one rng per vertex"):
-            classify_batch(o, [center, 0], 10.0, 1.0, 0.5, None, [np.random.default_rng(0)])

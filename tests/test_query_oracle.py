@@ -146,6 +146,30 @@ class TestAnswerSoundness:
         assert o.stats.total == 0
         assert o.q_neighbor_batch(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).size == 0
 
+    def test_non_integer_ids_are_refused(self):
+        # Each of these once answered for the truncated id (or, for the
+        # scalar neighbor, raised numpy's own IndexError).
+        o = QueryOracle(Graph.from_edges(3, [(0, 1), (1, 2)]), seed=0)
+        for call, what in [
+            (lambda: o.q_degree(1.7), "vertex ids"),
+            (lambda: o.q_neighbor_batch([1.9], [1.0]), "vertex ids"),
+            (lambda: o.q_pair(0.0, 1.0), "vertex ids"),
+            (lambda: o.q_neighbor(1.5, 1), "vertex ids"),
+            (lambda: o.q_neighbor(1, 1.5), "neighbor indices"),
+            (lambda: o.q_neighbor_batch([1], [1.0]), "neighbor indices"),
+            (lambda: o.q_pair_batch(np.array([0]), np.array([1.0])), "vertex ids"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{what} must be integers, got float64$"):
+                call()
+        assert o.stats.total == 0
+
+    def test_empty_batches_are_accepted(self):
+        o = triangle_oracle()
+        assert o.q_degree_batch([]).size == 0
+        assert o.q_neighbor_batch([], []).size == 0
+        assert o.q_pair_batch([], []).size == 0
+        assert o.stats.total == 0
+
     def test_empty_graph_oracle_is_valid_but_unqueryable(self):
         o = QueryOracle(Graph.from_edges(0, []), seed=0)
         with pytest.raises(IndexError):
