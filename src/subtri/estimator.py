@@ -23,6 +23,7 @@ from .heavy import (
     LIGHT,
     HeavyParams,
     ceil_div_by_sqrt_array,
+    check_advice,
     classify_batch,
     classify_heavy,  # unused here; bench/tracer.py looks it up by name
     closing_hits,
@@ -137,7 +138,8 @@ def estimate_with_advice(
     most once, and its verdict is kept in verdict_cache (vertex -> verdict; a
     new dict when none is passed). A cache shared between runs realizes
     fixed coins across the sharing runs. params defaults to the practical
-    profile.
+    profile. An eps, m_bar or t_bar that is not positive, NaN included, is
+    a ValueError (check_advice).
 
     Every draw, the classifier's included, comes from the run's one
     Generator, np.random.default_rng(seed), and the s2 samples go in blocks
@@ -153,11 +155,10 @@ def estimate_with_advice(
     neighbor answer revealed the pair first, so the order decides how many
     charges the same queries cost, and with it where the budget trips.
     """
+    check_advice(m_bar, t_bar, eps)
     if params is None:
         params = EstimatorParams.practical()
     eps = min(eps, 0.5)
-    if m_bar <= 0 or t_bar <= 0:
-        raise ValueError("advice must be positive")
     if verdict_cache is None:
         verdict_cache = {}
     np_rng = np.random.default_rng(seed)

@@ -1,9 +1,10 @@
 """Immutable adjacency storage and the edge-list file format.
 
 Graphs are simple and undirected with vertex ids 0..n-1. Adjacency lives in a
-CSR layout: a flat neighbor array plus per-vertex offsets. Neighbor order is
-the input order of the edge list, which is arbitrary but fixed, so i-th
-neighbor queries are well defined and reproducible.
+CSR layout: a flat neighbor array plus per-vertex offsets. Each row lists its
+neighbors by ascending id, a fixed order that depends on the graph alone, so
+i-th neighbor queries are well defined and reproducible whatever order the
+edges came in.
 """
 
 from __future__ import annotations
@@ -32,13 +33,15 @@ class Graph:
     """Static simple undirected graph with ordered adjacency.
 
     Build via from_edges or load_edge_list rather than the constructor.
-    Storage is CSR: v's neighbors, in stored order, are
-    targets[offsets[v]:offsets[v + 1]]; the arrays are read-only. Vertices
-    precede one another by (degree, id); this order drives the
-    triangle-assignment logic downstream, so it is part of the public API.
+    Storage is CSR: v's neighbors, by ascending id, are
+    targets[offsets[v]:offsets[v + 1]], and slot s holds the key
+    source * n + targets[s], so the keys ascend over all 2m slots; the arrays
+    are read-only. Vertices precede one another by (degree, id); this order
+    drives the triangle-assignment logic downstream, so it is part of the
+    public API.
     """
 
-    __slots__ = ("n", "m", "degrees", "offsets", "targets", "_sorted_targets", "_edge_keys", "_slot_map")
+    __slots__ = ("n", "m", "degrees", "offsets", "targets", "_keys")
 
     def __init__(
         self,
@@ -47,28 +50,27 @@ class Graph:
         degrees: np.ndarray,
         offsets: np.ndarray,
         targets: np.ndarray,
-        sorted_targets: np.ndarray,
+        keys: np.ndarray,
     ):
         self.n = n
         self.m = m
         self.degrees = degrees
         self.offsets = offsets
         self.targets = targets
-        self._sorted_targets = sorted_targets
-        for arr in (degrees, offsets, targets, sorted_targets):
+        self._keys = keys
+        for arr in (degrees, offsets, targets, keys):
             arr.setflags(write=False)
-        self._edge_keys = None
-        self._slot_map = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
-        """Build a graph from (u, v) integer pairs.
+        """Build a graph from (u, v) integer pairs, in any order.
 
         A ValueError names an n over MAX_VERTICES or too large for the
-        memory its per-vertex arrays need, or else the first pair with a
-        non-integer id, an id outside [0, n), equal ends or an earlier pair's
-        ends, in either orientation. Neighbor lists keep the order in
-        which edges appear.
+        memory its per-vertex arrays need, an edge count too large for the
+        memory of its 2m keys, or else the first pair with a non-integer id,
+        an id outside [0, n), equal ends or an earlier pair's ends, in either
+        orientation. The graph does not depend on the pairs' order or on
+        which end comes first.
         """
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} is over {MAX_VERTICES}, the most int64 row keys allow")
@@ -85,27 +87,26 @@ class Graph:
         try:
             degrees = np.bincount(flat, minlength=n).astype(np.int64, copy=False)
             offsets = np.zeros(n + 1, dtype=np.int64)
-            row_base = np.arange(n, dtype=np.int64)
         except MemoryError:
             raise ValueError(f"vertex count {n} needs more memory than is available") from None
         np.cumsum(degrees, out=offsets[1:])
-        # Slot 2k holds u_k and slot 2k+1 holds v_k. A stable sort by endpoint
-        # lists each vertex's incidences in edge order, and the partner of
-        # slot j is slot j ^ 1.
-        targets = flat[_radix_argsort(flat, n) ^ 1]
-        # The rows, each sorted, by one sort of source * n + target keys. Keys
-        # stay below n * n, within int64 for n <= MAX_VERTICES, the bound that
-        # _check_invariants' (degree, id) key also rests on. A repeated edge
-        # or a self loop repeats a key.
-        row_base *= n
-        row_base = np.repeat(row_base, degrees)
-        sorted_targets = row_base + targets
-        sorted_targets.sort()
-        if (sorted_targets[1:] == sorted_targets[:-1]).any():
+        try:
+            # Both directions of each pair as source * n + target keys, below
+            # n * n, within int64 for n <= MAX_VERTICES, the bound that
+            # _check_invariants' (degree, id) key also rests on. Sorted, they
+            # list the rows in turn, each by target.
+            keys = flat * n
+            keys.reshape(-1, 2)[:] += flat.reshape(-1, 2)[:, ::-1]
+            keys.sort()
+            # A repeated edge or a self loop repeats a key.
+            repeats = (keys[1:] == keys[:-1]).any()
+            targets = keys % n
+        except MemoryError:
+            raise ValueError(f"edge count {m} needs more memory than is available") from None
+        if repeats:
             k, reason = _first_bad_edge(n, flat)
             raise ValueError(f"edge {k}: {reason}")
-        sorted_targets -= row_base
-        g = cls(n, m, degrees, offsets, targets, sorted_targets)
+        g = cls(n, m, degrees, offsets, targets, keys)
         try:
             # The checks allocate n-sized arrays of their own.
             g._check_invariants()
@@ -124,7 +125,7 @@ class Graph:
             return
         n = self.n
         key = self.degrees * np.int64(n) + np.arange(n, dtype=np.int64)
-        src = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        src = self._keys // n
         succ_mask = key[self.targets] > key[src]
         succ_counts = np.bincount(src[succ_mask], minlength=n)
         bound = math.isqrt(2 * self.m)
@@ -137,49 +138,25 @@ class Graph:
         return int(self.degrees[v])
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Read-only view of v's neighbor list in stored order."""
+        """Read-only view of v's neighbor list, by ascending id."""
         return self.targets[self.offsets[v] : self.offsets[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
         """Adjacency test by binary search in the lower-degree endpoint's
-        sorted row. It shares no code with edge_slots, so tests can use it
-        as the adjacency reference."""
+        row. It shares no code with edge_slots, so tests can use it as the
+        adjacency reference."""
         if self.degrees[u] > self.degrees[v]:
             u, v = v, u
-        row = self._sorted_targets[self.offsets[u] : self.offsets[u + 1]]
+        row = self.neighbors(u)
         i = np.searchsorted(row, v)
         return bool(i < len(row) and row[i] == v)
 
     def edge_slots(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """The stored slot of vs[k] in us[k]'s row, for each k, or -1 where
-        (us[k], vs[k]) is no edge; by one searchsorted.
-
-        The keys source * n + target of the sorted rows are ascending over
-        all 2m slots (within int64 for n <= MAX_VERTICES), and a map takes
-        each key's position to its slot in stored order. Keys and map take
-        16 bytes per edge each, so they are built on the first call, which
-        the estimator makes and the exact counter does not.
-        """
-        if self._slot_map is None:
-            try:
-                # np.repeat copies the read-only degrees, one more n-sized
-                # array beside the arange.
-                rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-                rows *= self.n
-                # Each row's stored order, sorted by target: rows are
-                # contiguous, so one sort of the stored keys sorts within
-                # each row.
-                slot_map = np.argsort(rows + self.targets, kind="stable")
-            except MemoryError:
-                raise ValueError(
-                    f"vertex count {self.n} needs more memory than is available"
-                ) from None
-            rows += self._sorted_targets
-            for arr in (rows, slot_map):
-                arr.setflags(write=False)
-            self._edge_keys, self._slot_map = rows, slot_map
-        edge_keys = self._edge_keys
+        """The slot of vs[k] in us[k]'s row, for each k, or -1 where
+        (us[k], vs[k]) is no edge: the position of the key us[k] * n + vs[k]
+        among the graph's ascending keys, by one searchsorted."""
         keys = np.asarray(us, dtype=np.int64) * self.n + np.asarray(vs, dtype=np.int64)
+        edge_keys = self._keys
         if not len(edge_keys):
             return np.full(keys.shape, -1, dtype=np.int64)
         # Searching in key order walks edge_keys forward, with far fewer
@@ -188,7 +165,7 @@ class Graph:
         at = np.empty_like(order)
         at[order] = np.searchsorted(edge_keys, keys[order])
         np.minimum(at, len(edge_keys) - 1, out=at)
-        return np.where(edge_keys[at] == keys, self._slot_map[at], -1)
+        return np.where(edge_keys[at] == keys, at, -1)
 
     def precedes(self, u: int, v: int) -> bool:
         """True when u comes before v in the (degree, id) vertex order."""
@@ -196,28 +173,11 @@ class Graph:
         return bool(du < dv or (du == dv and u < v))
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield each undirected edge once as (min id, max id)."""
-        for v in range(self.n):
-            for w in self.neighbors(v):
-                if v < w:
-                    yield v, int(w)
-
-
-def _radix_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
-    """np.argsort(keys, kind="stable") for int64 keys in [0, bound).
-
-    LSD radix passes over 16-bit digits, low digit first. Each pass is a
-    stable argsort of a uint16 array, which numpy runs as a linear-time radix
-    sort; a stable argsort of the int64 keys is a comparison sort, about five
-    times slower on 1e7 keys.
-    """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    shift = 16
-    while bound > 1 << shift:
-        digit = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
+        """Each undirected edge once as (min id, max id), in ascending order:
+        the slots whose source is below their target."""
+        src = self._keys // self.n
+        up = src < self.targets
+        return zip(src[up].tolist(), self.targets[up].tolist())
 
 
 def _first_bad_edge(n: int, flat: np.ndarray) -> tuple[int, str] | None:
@@ -334,6 +294,8 @@ def _parse_chunks(chunks: Iterable[tuple[bytes, np.ndarray]]) -> Graph:
     try:
         graph = Graph.from_edges(n, flat.reshape(-1, 2))
     except ValueError as exc:
+        if str(exc).startswith("edge count"):
+            raise  # out of memory for the edges' keys, which no one line sets
         bad = _first_bad_edge(n, flat)
         if bad is None:
             # No pair is at fault, so n is; blame the line that set it.

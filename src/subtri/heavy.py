@@ -40,6 +40,15 @@ def decision_threshold(t_bar: float, eps: float) -> float:
     return t_bar ** (2.0 / 3.0) / eps ** (1.0 / 3.0)
 
 
+def check_advice(m_bar: float, t_bar: float, eps: float) -> None:
+    """Raise ValueError unless eps, m_bar and t_bar are all positive; the
+    comparisons also reject NaN."""
+    if not eps > 0:
+        raise ValueError("eps must be positive")
+    if not (m_bar > 0 and t_bar > 0):
+        raise ValueError("advice must be positive")
+
+
 def lower_median(values) -> float:
     """Median, taking the lower of the two middle elements for even counts."""
     ordered = sorted(values)
@@ -162,7 +171,8 @@ def classify_batch(
     of vs; the estimates are empty when a degree shortcut decided. A verdict
     depends on the vertices that share the call, since they share rng's
     stream; a caller that needs one verdict per vertex keeps the first, as
-    estimate_with_advice's verdict_cache does.
+    estimate_with_advice's verdict_cache does. An eps, m_bar or t_bar that
+    is not positive, NaN included, is a ValueError (check_advice).
 
     Sampling, per vertex: reps * s uniform edges (v, x); each scores d_u,
     the smaller endpoint degree, for each of its ceil(d_u / sqrt(m_bar))
@@ -178,6 +188,7 @@ def classify_batch(
     repetition, and cut into chunks of at most _CHUNK_SAMPLES; each chunk
     draws its edge indices and then its probe indices.
     """
+    check_advice(m_bar, t_bar, eps)
     if params is None:
         params = HeavyParams()
     eps = min(eps, 0.5)

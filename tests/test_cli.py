@@ -17,6 +17,7 @@ import pytest
 from subtri import exact, graph_store
 from subtri.cli import BENCH_COLUMNS, main
 from subtri.graph_store import Graph, write_edge_list
+from subtri.lb_gen import gen_g2_matching
 from util import complete_graph
 
 
@@ -105,11 +106,11 @@ class TestExact:
         )
 
     def test_vertex_count_past_check_memory_is_exit_three(self, tmp_path):
-        # Here the graph's own arrays (128 MB each) fit under 700 MB, and the
+        # Here the graph's own arrays (128 MB each) fit under 500 MB, and the
         # invariant checks' n-sized arrays after them do not.
         bad = tmp_path / "big.edges"
         bad.write_text("0 16000000\n")
-        proc = self.exact_under_memory_limit(bad, 700_000)
+        proc = self.exact_under_memory_limit(bad, 500_000)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == (
             "error: line 1: vertex count 16000001 needs more memory than is available\n"
@@ -176,27 +177,28 @@ class TestExact:
 
 class TestEstimate:
     def test_slot_lookup_memory_is_exit_three(self, tmp_path, capsys):
-        # The graph loads, and the first edge_slots call's build does not fit.
-        failed = []
+        # The per-vertex arrays fit, and the 2m slot keys that from_edges
+        # builds for the slot lookup do not; no one line is to blame.
+        class NoMemoryArray(np.ndarray):
+            def __mul__(self, other):
+                raise MemoryError
 
         class NoMemoryNumpy:
             def __getattr__(self, name):
                 return getattr(np, name)
 
             @staticmethod
-            def repeat(*args, **kwargs):
-                if sys._getframe(1).f_code is Graph.edge_slots.__code__:
-                    failed.append(True)
-                    raise MemoryError
-                return np.repeat(*args, **kwargs)
+            def asarray(*args, **kwargs):
+                return np.asarray(*args, **kwargs).view(NoMemoryArray)
 
-        with mock.patch.object(graph_store, "np", NoMemoryNumpy()):
-            code = main(["estimate", "--input", k4_path(tmp_path), "--seed", "0"])
-        assert failed
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "error: vertex count 4 needs more memory than is available\n"
-        )
+        path = k4_path(tmp_path)
+        for argv in (["estimate", "--input", path, "--seed", "0"], ["exact", "--input", path]):
+            with mock.patch.object(graph_store, "np", NoMemoryNumpy()):
+                code = main(argv)
+            assert code == 3
+            assert capsys.readouterr().err == (
+                "error: edge count 6 needs more memory than is available\n"
+            )
 
     def test_triangle_free_reports_zero_through_fallback(self, tmp_path, capsys):
         code = main(
@@ -207,6 +209,19 @@ class TestEstimate:
         assert doc["estimate"] == 0.0
         assert doc["fallback_used"] is True
         assert doc["wall_ms"] is None
+
+    def test_output_does_not_depend_on_line_order(self, tmp_path, capsys):
+        # The same edges with the data lines reversed and each line's ends
+        # swapped: the same graph, so the same bytes.
+        path = Path(write_graph(tmp_path, "g2.edges", gen_g2_matching(256, 64, seed=3).graph))
+        header, *data = path.read_text().splitlines(keepends=True)
+        flipped = tmp_path / "g2-flipped.edges"
+        flipped.write_text(header + "".join(" ".join(line.split()[::-1]) + "\n" for line in data[::-1]))
+        outs = []
+        for p in (path, flipped):
+            assert main(["estimate", "--input", str(p), "--seed", "0"]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == outs[0]
 
     def test_output_is_byte_deterministic(self, tmp_path, capsys):
         argv = ["estimate", "--input", k4_path(tmp_path), "--json", "--seed", "7"]

@@ -40,6 +40,22 @@ class TestAdvice:
         with pytest.raises(ValueError, match="positive"):
             estimate_with_advice(o, 6.0, -1.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "m_bar, t_bar, eps, message",
+        [
+            (6.0, 4.0, 0.0, "eps must be positive"),
+            (6.0, 4.0, -1.0, "eps must be positive"),
+            (6.0, 4.0, float("nan"), "eps must be positive"),
+            (float("nan"), 4.0, 0.5, "advice must be positive"),
+            (6.0, float("nan"), 0.5, "advice must be positive"),
+        ],
+    )
+    def test_bad_eps_or_nan_advice_is_refused(self, m_bar, t_bar, eps, message):
+        o = fresh_oracle(complete_graph(4))
+        with pytest.raises(ValueError, match=message):
+            estimate_with_advice(o, m_bar, t_bar, eps)
+        assert o.stats.total == 0
+
     def test_oversized_run_is_refused_up_front(self):
         # eps=1e-5 drives s1 past MAX_RUN_SAMPLES; the run must refuse
         # before sampling rather than attempt the allocation.

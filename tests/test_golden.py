@@ -172,15 +172,16 @@ def run_exact_cli(tmp_path, capsys) -> dict:
 
 
 # Recorded from the batched classifier drawing from its run's Generator,
-# with one classifier call per block of an advice run's samples.
-GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 7212.059560391357,
+# with one classifier call per block of an advice run's samples, on rows
+# stored by ascending neighbor id.
+GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 5825.125029546865,
                           'queries': {'degree': 256,
-                                      'neighbor': 8168,
-                                      'pair': 3133,
-                                      'vertex_samples': 25288,
-                                      'total': 11557},
-                          'runs': 26,
-                          't_bar': 4096.0,
+                                      'neighbor': 11223,
+                                      'pair': 3747,
+                                      'vertex_samples': 27302,
+                                      'total': 15226},
+                          'runs': 28,
+                          't_bar': 2048.0,
                           'fallback_used': False,
                           'fallback_reason': None},
  ('skewed', None, 0): {'estimate': 31285.135115018566,
@@ -443,7 +444,7 @@ GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
                                    'queries_used': 171}}
 GOLDEN_CLI = {'estimate-json': 'fe8ec8c02ddcf1cd2c651c71e296cfd161a6fa7fdbd88ae50d272ab0132a42c1',
  'estimate-plain': '9d0f0fb1b590adbad85f37d80ba0bc7d2f549b16f303bbe18a5615016ecea002',
- 'bench-csv': '6fc40d3fadaf9e4b50c0eb388e5e62aec322dd5565cb639e61677b818436d9b6'}
+ 'bench-csv': '04a1e1ffe999e1d67c4cc684a56dff4921304e035cccfe5721e83d44b3250352'}
 
 # Recorded from the revision before the vectorized exact counter.
 GOLDEN_EXACT_CLI = {

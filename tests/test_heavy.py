@@ -111,6 +111,26 @@ class TestShortcuts:
         assert verdict.queries_used == 1
 
 
+    @pytest.mark.parametrize(
+        "m_bar, t_bar, eps, message",
+        [
+            (10.0, 1.0, 0.0, "eps must be positive"),
+            (10.0, 1.0, -1.0, "eps must be positive"),
+            (10.0, 1.0, float("nan"), "eps must be positive"),
+            (0.0, 1.0, 0.5, "advice must be positive"),
+            (10.0, -1.0, 0.5, "advice must be positive"),
+            (float("nan"), 1.0, 0.5, "advice must be positive"),
+            (10.0, float("nan"), 0.5, "advice must be positive"),
+        ],
+    )
+    def test_bad_eps_or_advice_is_refused(self, m_bar, t_bar, eps, message):
+        o, center = star_oracle(10)
+        with pytest.raises(ValueError, match=message):
+            classify_heavy(o, center, m_bar=m_bar, t_bar=t_bar, eps=eps, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match=message):
+            classify_batch(o, [center], m_bar, t_bar, eps, None, np.random.default_rng(0))
+        assert o.stats.total == 0
+
     def test_non_integer_vertex_is_refused(self):
         o, _ = star_oracle(10)
         with pytest.raises(ValueError, match="vertex ids must be integers, got float64"):
