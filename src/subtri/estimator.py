@@ -22,11 +22,10 @@ from .exact import count_ordered
 from .heavy import (
     LIGHT,
     HeavyParams,
-    ceil_div_by_sqrt_array,
     check_advice,
     classify_batch,
     classify_heavy,  # unused here; bench/tracer.py looks it up by name
-    closing_hits,
+    edge_hits,
     lower_median,
 )
 from .query_oracle import BudgetExhausted, QueryOracle
@@ -132,28 +131,28 @@ def estimate_with_advice(
     score so that E[X] is the total weight over light vertices, which is at
     most t for every heavy/light split and close to t for good advice.
 
-    A sample probes at all with probability min(1, d_u / sqrt(m_bar)) and
-    then makes ceil(d_u / sqrt(m_bar)) probes (one when d_u^2 <= m_bar), so
-    low-degree endpoints usually cost nothing. Every vertex is classified at
-    most once, and its verdict is kept in verdict_cache (vertex -> verdict; a
-    new dict when none is passed). A cache shared between runs realizes
-    fixed coins across the sharing runs. params defaults to the practical
-    profile. An eps, m_bar or t_bar that is not positive, NaN included, is
-    a ValueError (check_advice).
+    The edge sampling, thinning and probing is heavy.edge_hits, the kernel
+    the classifier samples with: a sample probes at all with probability
+    min(1, d_u / sqrt(m_bar)) and then makes ceil(d_u / sqrt(m_bar))
+    probes, so low-degree endpoints usually cost nothing. Every vertex is
+    classified at most once, and its verdict is kept in verdict_cache
+    (vertex -> verdict; a new dict when none is passed). A cache shared
+    between runs realizes fixed coins across the sharing runs. params
+    defaults to the practical profile. An eps, m_bar or t_bar that is not
+    positive, NaN included, is a ValueError (check_advice).
 
     Every draw, the classifier's included, comes from the run's one
     Generator, np.random.default_rng(seed), and the s2 samples go in blocks
-    of _S2_BLOCK. Within a block the queries run in this order: the block's
-    edge queries (q_neighbor_batch) and the degrees of their far ends; then
-    the probes of all kept samples at once (closing_hits: q_neighbor_batch,
-    q_pair_batch on the probes that are neither v nor x, q_degree_batch on
-    the closers); then one classify_batch call, drawing from the run's
-    Generator, for every vertex of the block's hits that verdict_cache
-    lacks; then the hits are scored from verdict_cache. The set of queries a run asks is fixed by its draws and
-    the verdicts, so the estimate does not depend on that order as long as
-    the budget holds. The charged count can: a pair query is free when a
-    neighbor answer revealed the pair first, so the order decides how many
-    charges the same queries cost, and with it where the budget trips.
+    of _S2_BLOCK. Each block draws its vertices by degree, then makes one
+    edge_hits call (its edges, their far ends' degrees, the probes, the
+    pairs and the closers' degrees), then one classify_batch call for every
+    vertex of the block's hits that verdict_cache lacks, and scores the
+    hits from verdict_cache. The set of queries a run asks is fixed by its
+    draws and the verdicts, so the estimate does not depend on that order
+    as long as the budget holds. The charged count can: a pair query is
+    free when a neighbor answer revealed the pair first, so the order
+    decides how many charges the same queries cost, and with it where the
+    budget trips.
     """
     check_advice(m_bar, t_bar, eps)
     if params is None:
@@ -176,30 +175,16 @@ def estimate_with_advice(
     if sampler.total_degree == 0:
         return 0.0
 
-    sqrt_m = math.sqrt(m_bar)
-    # d_u^2 <= m_bar exactly when d_u <= isqrt(floor(m_bar)), in integers.
-    small_max = math.isqrt(math.floor(m_bar))
     y_sum = 0.0
     for start in range(0, s2, _S2_BLOCK):
-        k = min(_S2_BLOCK, s2 - start)
         # v was drawn by degree, so d_v > 0.
-        vs, dvs = sampler.draw(np_rng, k)
-        xs = oracle.q_neighbor_batch(vs, np_rng.integers(1, dvs + 1))
-        dxs = oracle.q_degree_batch(xs)
-        dus = np.minimum(dvs, dxs)
-        small = dus <= small_max
-        kept = np.flatnonzero(~small | (np_rng.random(k) < dus / sqrt_m))
-        if not kept.size:
-            continue
-        vs, xs, dvs, dxs, dus = vs[kept], xs[kept], dvs[kept], dxs[kept], dus[kept]
-        rs = ceil_div_by_sqrt_array(dus, m_bar)
-        at = np.repeat(np.arange(kept.size), rs)
-        hit_at, ws = closing_hits(oracle, vs, xs, dvs, dxs, at, np_rng.integers(1, dus[at] + 1))
-        if not hit_at.size:
+        vs, dvs = sampler.draw(np_rng, min(_S2_BLOCK, s2 - start))
+        hit, xs, ws, score = edge_hits(oracle, vs, dvs, m_bar, np_rng)
+        if not hit.size:
             continue
         # Each hit's three vertices, then one classifier call for the ones
         # no earlier block or run has classified.
-        need, where = np.unique(np.concatenate((vs[hit_at], xs[hit_at], ws)), return_inverse=True)
+        need, where = np.unique(np.concatenate((vs[hit], xs, ws)), return_inverse=True)
         todo = [u for u in need.tolist() if u not in verdict_cache]
         if todo:
             found = classify_batch(oracle, todo, m_bar, t_bar, eps, params.heavy_params, np_rng)
@@ -207,9 +192,7 @@ def estimate_with_advice(
         light = np.array([verdict_cache[u] == LIGHT for u in need.tolist()])[where].reshape(3, -1)
         # A hit scores only when v is light, split across its light vertices.
         scored = light[0]
-        ell = light.sum(axis=0)[scored]
-        hit_at = hit_at[scored]
-        y_sum += float(np.sum(np.maximum(dus[hit_at], sqrt_m) / ell / rs[hit_at]))
+        y_sum += float(np.sum(score[scored] / light.sum(axis=0)[scored]))
     return n / (s1 * s2) * sampler.total_degree * y_sum
 
 

@@ -77,12 +77,11 @@ class TriangleStats:
         return dict(zip(zip(v.tolist(), x.tolist()), c.tolist()))
 
     def to_json_dict(self) -> dict:
-        v, x, c = self._nonzero_edges()
-        order = np.lexsort((x, v))
+        # Slots ascend by (v, x), since rows are stored sorted.
         return {
             "t": self.t,
             "t_v": self.t_v.tolist(),
-            "t_e": np.stack([v[order], x[order], c[order]], axis=1).tolist(),
+            "t_e": np.stack(self._nonzero_edges(), axis=1).tolist(),
         }
 
 

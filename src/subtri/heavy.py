@@ -80,30 +80,45 @@ def ceil_div_by_sqrt_array(ds: np.ndarray, m_bar: float) -> np.ndarray:
     return np.array([ceil_div_by_sqrt(d, m_bar) for d in vals.tolist()], dtype=np.int64)[inv]
 
 
-def closing_hits(oracle, vs, xs, dvs, dxs, samples, idxs):
-    """Probe, for each k, neighbor idxs[k] of the order-smaller endpoint of
-    sample samples[k]'s edge (vs, xs) with end degrees (dvs, dxs).
+def edge_hits(oracle, vs, dvs, m_bar: float, rng: np.random.Generator):
+    """Sample one uniform edge (v, x) at each vs[k], of degree dvs[k] > 0,
+    and probe uniform neighbors w of its order-smaller endpoint u, drawing
+    from rng: the one sampling step both samplers share.
 
-    The order is by (degree, id), and each index lies in 1..d_u, the smaller
-    endpoint's degree, which the caller has already queried. Returns the
-    probes that close a triangle {v, x, w} with x before w in that order, as
-    (their sample positions, their w), in probe order. Queries go in three
-    batches: the probes (q_neighbor_batch), the pairs (o, w) for the probes
-    whose w is neither v nor x, o being the other endpoint (q_pair_batch),
-    and the degrees of the closers (q_degree_batch). The one probe step
-    both samplers share.
+    The order is by (degree, id), so d_u = min(d_v, d_x). A sample is kept
+    with probability min(1, d_u / sqrt(m_bar)) and then makes
+    r = ceil(d_u / sqrt(m_bar)) probes (one when d_u^2 <= m_bar), so
+    low-degree endpoints usually cost nothing. A probe hits when w closes a
+    triangle {v, x, w} with x before w, and scores max(d_u, sqrt(m_bar)) / r,
+    so a sample's expected score is the number of such w, thinned or not.
+    Returns (the hits' sample positions k, their x, their w, their scores),
+    in probe order.
+
+    Draws and queries go in this order: the edge indices, the edges
+    (q_neighbor_batch) and their far ends' degrees; the thinning coins and
+    the probe indices, then the probes (q_neighbor_batch), the pairs (o, w)
+    for the probes whose w is neither v nor x, o being u's other endpoint
+    (q_pair_batch), and the degrees of the closers (q_degree_batch).
     """
+    xs = oracle.q_neighbor_batch(vs, rng.integers(1, dvs + 1))
+    dxs = oracle.q_degree_batch(xs)
+    dus = np.minimum(dvs, dxs)
+    sqrt_m = math.sqrt(m_bar)
+    # d_u / sqrt_m rounds to 1 or more when d_u^2 > m_bar, so those
+    # samples are always kept; a thinned sample makes no probe.
+    kept = rng.random(vs.size) < dus / sqrt_m
+    rs = np.zeros(vs.size, dtype=np.int64)
+    rs[kept] = ceil_div_by_sqrt_array(dus[kept], m_bar)
+    at = np.repeat(np.arange(vs.size), rs)
     x_first = (dxs < dvs) | ((dxs == dvs) & (xs < vs))
-    us = np.where(x_first, xs, vs)[samples]
-    os_ = np.where(x_first, vs, xs)[samples]
-    ws = oracle.q_neighbor_batch(us, idxs)
-    cand = np.flatnonzero((ws != vs[samples]) & (ws != xs[samples]))
-    closed = cand[oracle.q_pair_batch(os_[cand], ws[cand])]
-    samples, ws = samples[closed], ws[closed]
+    ws = oracle.q_neighbor_batch(np.where(x_first, xs, vs)[at], rng.integers(1, dus[at] + 1))
+    cand = np.flatnonzero((ws != vs[at]) & (ws != xs[at]))
+    closed = cand[oracle.q_pair_batch(np.where(x_first, vs, xs)[at[cand]], ws[cand])]
+    at, ws = at[closed], ws[closed]
     dws = oracle.q_degree_batch(ws)
-    d_x, x = dxs[samples], xs[samples]
-    after = (d_x < dws) | ((d_x == dws) & (x < ws))
-    return samples[after], ws[after]
+    after = (dxs[at] < dws) | ((dxs[at] == dws) & (xs[at] < ws))
+    hit, ws = at[after], ws[after]
+    return hit, xs[hit], ws, np.maximum(dus[hit], sqrt_m) / rs[hit]
 
 
 @dataclass(frozen=True)
@@ -174,19 +189,17 @@ def classify_batch(
     estimate_with_advice's verdict_cache does. An eps, m_bar or t_bar that
     is not positive, NaN included, is a ValueError (check_advice).
 
-    Sampling, per vertex: reps * s uniform edges (v, x); each scores d_u,
-    the smaller endpoint degree, for each of its ceil(d_u / sqrt(m_bar))
-    probes that closes a triangle with x before w (closing_hits), divided
-    by that probe count. Each repetition's s scores average to an estimate
-    of t_v / d_v; the lower median of the repetitions' estimates decides.
+    Sampling, per vertex: reps * s samples of edge_hits, the kernel an
+    advice run samples with: an edge (v, x) whose expected score is the
+    number of w that close a triangle {v, x, w} with x before w. Each
+    repetition's s scores average to an estimate of t_v / d_v; the lower
+    median of the repetitions' estimates decides.
 
     The queries go in batches: one q_degree_batch of vs (degree 0 is LIGHT
-    and degree above degree_cutoff HEAVY, without sampling), then per chunk
-    of samples the edges (q_neighbor_batch), their far ends' degrees, and
-    closing_hits' probes, pairs and closer degrees. The sampled vertices'
-    samples are numbered in a row, vertex by vertex and repetition by
-    repetition, and cut into chunks of at most _CHUNK_SAMPLES; each chunk
-    draws its edge indices and then its probe indices.
+    and degree above degree_cutoff HEAVY, without sampling), then one
+    edge_hits call per chunk of samples. The sampled vertices' samples are
+    numbered in a row, vertex by vertex and repetition by repetition, and
+    cut into chunks of at most _CHUNK_SAMPLES.
     """
     check_advice(m_bar, t_bar, eps)
     if params is None:
@@ -209,18 +222,10 @@ def classify_batch(
     y = np.zeros(sampling.size * reps)
     total = y.size * s
     for lo in range(0, total, _CHUNK_SAMPLES):
-        k = np.arange(lo, min(total, lo + _CHUNK_SAMPLES))
-        at = k // (reps * s)
-        v, d_v = vs[at], dvs[at]
-        x = oracle.q_neighbor_batch(v, rng.integers(1, d_v + 1))
-        d_x = oracle.q_degree_batch(x)
-        d_u = np.minimum(d_v, d_x)
-        r = ceil_div_by_sqrt_array(d_u, m_bar)
-        probe_of = np.repeat(np.arange(k.size), r)
-        hit_at, _ = closing_hits(oracle, v, x, d_v, d_x, probe_of, rng.integers(1, d_u[probe_of] + 1))
-        hits = np.bincount(hit_at, minlength=k.size)
+        at = np.arange(lo, min(total, lo + _CHUNK_SAMPLES)) // (reps * s)
+        hit, _, _, score = edge_hits(oracle, vs[at], dvs[at], m_bar, rng)
         first = lo // s
-        sums = np.bincount(k // s - first, weights=hits * d_u / r)
+        sums = np.bincount((lo + hit) // s - first, weights=score)
         y[first:first + sums.size] += sums
     estimates = dvs[:, None] * y.reshape(-1, reps) / s
     medians = np.sort(estimates, axis=1)[:, (reps - 1) // 2]

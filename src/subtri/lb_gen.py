@@ -54,11 +54,6 @@ def _grid_edges(rows: np.ndarray, cols: np.ndarray, keep: np.ndarray) -> np.ndar
     return np.column_stack((rows[i], cols[j]))
 
 
-def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (k, 2) edge arrays a and b merged as a[0], b[0], a[1], b[1], ..."""
-    return np.stack((a, b), axis=1).reshape(-1, 2)
-
-
 def _icbrt(x: int) -> int:
     """Integer cube root (floor)."""
     q = round(x ** (1.0 / 3.0))
@@ -245,7 +240,7 @@ def gen_g2_partial_matching(n: int, side: int, k: int, seed=None, shuffle: bool 
     ids = np.arange(s, dtype=np.int64)
     # Quad a adds (idx[2a], idx[2a+1]) and its copy on the other side.
     quads = idx.reshape(-1, 2)
-    edges = np.concatenate((_grid_edges(ids, s + ids, keep), _interleave(quads, s + quads)))
+    edges = np.concatenate((_grid_edges(ids, s + ids, keep), quads, s + quads))
     edges, _ = _maybe_shuffle(rng, n, edges, shuffle)
     graph = Graph.from_edges(n, edges)
     return GenResult(
@@ -293,19 +288,18 @@ def gen_special_four(
         purple = np.array([(a_star, b_star), (c_star, d_star)], dtype=np.int64)
         specials = [a_star, b_star, c_star, d_star]
 
-    # Cell (i, j) of each cross grid, in row order, adds A_i-B_j then C_i-D_j
-    # when i and j lie in different blocks; each block index then adds its
-    # B-C and D-A links, pair by pair.
+    # Cell (i, j) of each cross grid adds A_i-B_j and C_i-D_j when i and j
+    # lie in different blocks; each block index adds its B-C and D-A links.
     ids = np.arange(s, dtype=np.int64)
     cross = ids[:, None] // t != ids // t
-    edges = _interleave(
-        _grid_edges(a0 + ids, b0 + ids, cross), _grid_edges(c0 + ids, d0 + ids, cross)
-    )
+    edges = np.concatenate((
+        _grid_edges(a0 + ids, b0 + ids, cross),
+        _grid_edges(c0 + ids, d0 + ids, cross),
+        _grid_edges(b0 + ids, c0 + ids, ~cross),
+        _grid_edges(d0 + ids, a0 + ids, ~cross),
+    ))
     edges = edges[~(edges[:, None, :] == purple).all(axis=2).any(axis=1)]
-    links = _interleave(
-        _grid_edges(b0 + ids, c0 + ids, ~cross), _grid_edges(d0 + ids, a0 + ids, ~cross)
-    )
-    edges = np.concatenate((edges, links, green))
+    edges = np.concatenate((edges, green))
 
     edges, perm = _maybe_shuffle(rng, n, edges, shuffle)
     if specials is not None and perm is not None:

@@ -21,7 +21,7 @@ from subtri.estimator import (
 )
 from subtri.exact import count_ordered
 from subtri.graph_store import Graph
-from subtri.heavy import HEAVY, LIGHT, HeavyParams
+from subtri.heavy import HEAVY, LIGHT, HeavyParams, ceil_div_by_sqrt
 from subtri.lb_gen import gen_clique_family, gen_g1_bipartite, gen_g2_matching
 from subtri.query_oracle import QueryOracle
 from test_acceptance import _expected_advice_estimate
@@ -223,7 +223,8 @@ class TestBlockRescoring:
     def test_mean_matches_enumeration_under_mixed_verdicts(self, profile, runs):
         # Every third vertex of G(30, 0.3) (t = 141, unequal degrees) is
         # injected as heavy, so a block scores each hit by 1/ell over its
-        # light vertices, and samples whose d_u^2 > m_bar make r > 1 probes.
+        # light vertices, and samples whose d_u^2 > m_bar make r > 1 probes,
+        # each hit scoring max(d_u, sqrt(m_bar)) / r.
         # The mean of X must match the enumerated E[X] (140 here).
         start = time.perf_counter()
         g = gnp_graph(30, 0.3, seed=1)
@@ -231,25 +232,28 @@ class TestBlockRescoring:
         verdicts = {v: HEAVY if v % 3 == 0 else LIGHT for v in range(g.n)}
         expected = _expected_advice_estimate(g, verdicts.__getitem__)
         params = getattr(EstimatorParams, profile)()
-        probes_per_sample, light_per_scored_hit = set(), set()
-        closing_hits = estimator.closing_hits
+        probes_per_hit, light_per_scored_hit = set(), set()
+        edge_hits = estimator.edge_hits
 
-        def spy(oracle, vs, xs, dvs, dxs, samples, idxs):
-            hit_at, ws = closing_hits(oracle, vs, xs, dvs, dxs, samples, idxs)
-            probes_per_sample.update(np.bincount(samples).tolist())
-            for v, x, w in zip(vs[hit_at].tolist(), xs[hit_at].tolist(), ws.tolist()):
+        def spy(oracle, vs, dvs, m_bar, rng):
+            hit, xs, ws, score = edge_hits(oracle, vs, dvs, m_bar, rng)
+            for v, x, w, sc in zip(vs[hit].tolist(), xs.tolist(), ws.tolist(), score.tolist()):
+                d_u = int(min(g.degrees[v], g.degrees[x]))
+                r = ceil_div_by_sqrt(d_u, m_bar)
+                assert sc == max(d_u, math.sqrt(m_bar)) / r
+                probes_per_hit.add(r)
                 if verdicts[v] == LIGHT:
                     light_per_scored_hit.add(sum(verdicts[u] == LIGHT for u in (v, x, w)))
-            return hit_at, ws
+            return hit, xs, ws, score
 
         xs = []
-        with mock.patch.object(estimator, "closing_hits", spy):
+        with mock.patch.object(estimator, "edge_hits", spy):
             for seed in range(runs):
                 o = fresh_oracle(g, seed=seed)
                 xs.append(estimate_with_advice(
                     o, float(g.m), float(t), 0.5, params, seed=seed, verdict_cache=dict(verdicts)
                 ))
-        assert max(probes_per_sample) > 1
+        assert max(probes_per_hit) > 1
         assert {1, 2} <= light_per_scored_hit
         assert expected not in (0.0, float(t))
         mean = statistics.fmean(xs)

@@ -173,43 +173,44 @@ def run_exact_cli(tmp_path, capsys) -> dict:
 
 # Recorded from the batched classifier drawing from its run's Generator,
 # with one classifier call per block of an advice run's samples, on rows
-# stored by ascending neighbor id.
+# stored by ascending neighbor id, with the classifier sampling through the
+# advice run's edge-probe kernel (thinned samples included).
 GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 5825.125029546865,
                           'queries': {'degree': 256,
-                                      'neighbor': 11223,
-                                      'pair': 3747,
+                                      'neighbor': 11066,
+                                      'pair': 3617,
                                       'vertex_samples': 27302,
-                                      'total': 15226},
+                                      'total': 14939},
                           'runs': 28,
                           't_bar': 2048.0,
                           'fallback_used': False,
                           'fallback_reason': None},
- ('skewed', None, 0): {'estimate': 31285.135115018566,
+ ('skewed', None, 0): {'estimate': 31493.371969330772,
                        'queries': {'degree': 2000,
-                                   'neighbor': 12945,
-                                   'pair': 5138,
+                                   'neighbor': 10596,
+                                   'pair': 2199,
                                    'vertex_samples': 120295,
-                                   'total': 20083},
+                                   'total': 14795},
                        'runs': 40,
                        't_bar': 15258.7890625,
                        'fallback_used': False,
                        'fallback_reason': None},
  ('k40', None, 0): {'estimate': 9880.0,
                     'queries': {'degree': 40,
-                                'neighbor': 1316,
-                                'pair': 244,
+                                'neighbor': 1301,
+                                'pair': 259,
                                 'vertex_samples': 5204,
                                 'total': 1600},
                     'runs': 8,
                     't_bar': None,
                     'fallback_used': True,
                     'fallback_reason': 'budget'},
- ('gnp', None, 1): {'estimate': 31473.712132151886,
+ ('gnp', None, 1): {'estimate': 31473.71213215189,
                     'queries': {'degree': 200,
-                                'neighbor': 5689,
-                                'pair': 3096,
+                                'neighbor': 5236,
+                                'pair': 2521,
                                 'vertex_samples': 18357,
-                                'total': 8985},
+                                'total': 7957},
                     'runs': 20,
                     't_bar': 15625.0,
                     'fallback_used': False,
@@ -246,8 +247,8 @@ GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 5825.125029546865,
                                    'fallback_reason': 'descent_exhausted'},
  ('skewed', 3000, 3): {'estimate': 33741.0,
                        'queries': {'degree': 2000,
-                                   'neighbor': 2436,
-                                   'pair': 564,
+                                   'neighbor': 2550,
+                                   'pair': 450,
                                    'vertex_samples': 97728,
                                    'total': 5000},
                        'runs': 34,
@@ -283,28 +284,28 @@ GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639
                                                        9,
                                                        10,
                                                        11]},
- ('k40', 780.0, 16000.0, 'practical', (1, 2)): {'values': [6760.0, 15210.0],
+ ('k40', 780.0, 16000.0, 'practical', (1, 2)): {'values': [6760.0, 20280.0],
                                                 'stats': {'degree': 40,
-                                                          'neighbor': 457,
-                                                          'pair': 165,
+                                                          'neighbor': 460,
+                                                          'pair': 168,
                                                           'vertex_samples': 112,
-                                                          'total': 662},
-                                                'heavy': [7, 24, 26],
+                                                          'total': 668},
+                                                'heavy': [21, 24, 26],
                                                 'light': [4,
+                                                          7,
                                                           9,
                                                           17,
-                                                          21,
                                                           27,
                                                           31,
                                                           36]},
  ('wheel', 99.0, 81.0, 'practical', (3, 4)): {'values': [85.3952205882353,
                                                          60.42279411764706],
                                               'stats': {'degree': 19,
-                                                        'neighbor': 178,
+                                                        'neighbor': 180,
                                                         'pair': 42,
                                                         'vertex_samples': 256,
-                                                        'total': 239},
-                                              'heavy': [18],
+                                                        'total': 241},
+                                              'heavy': [13, 18],
                                               'light': [0,
                                                         1,
                                                         3,
@@ -314,34 +315,34 @@ GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639
                                                         9,
                                                         11,
                                                         12,
-                                                        13,
                                                         15,
                                                         16,
                                                         17]},
- ('skewed', 18000.0, 30000.0, 'practical', (4, 5)): {'values': [31960.459093950783,
+ ('skewed', 18000.0, 30000.0, 'practical', (4, 5)): {'values': [37748.80700555674,
                                                                 22016.171988094266],
-                                                     'stats': {'degree': 1993,
-                                                               'neighbor': 3707,
-                                                               'pair': 1357,
+                                                     'stats': {'degree': 1991,
+                                                               'neighbor': 3034,
+                                                               'pair': 654,
                                                                'vertex_samples': 8542,
-                                                               'total': 7057},
-                                                     'heavy': [0,
-                                                               1,
+                                                               'total': 5679},
+                                                     'heavy': [1,
+                                                               4,
+                                                               7,
+                                                               16,
+                                                               45,
+                                                               47,
+                                                               57],
+                                                     'light': [0,
                                                                2,
                                                                3,
-                                                               4,
                                                                5,
                                                                6,
-                                                               7,
                                                                8,
-                                                               14,
-                                                               15,
-                                                               50,
-                                                               57],
-                                                     'light': [9,
+                                                               9,
                                                                11,
                                                                13,
-                                                               16,
+                                                               14,
+                                                               15,
                                                                17,
                                                                18,
                                                                20,
@@ -351,8 +352,7 @@ GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639
                                                                31,
                                                                37,
                                                                44,
-                                                               45,
-                                                               47,
+                                                               50,
                                                                53,
                                                                60,
                                                                69,
@@ -379,28 +379,24 @@ GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639
                                                                973,
                                                                1614,
                                                                1694]},
- ('gnp', 6000.0, 30000.0, 'practical', (6,)): {'values': [40227.45864504591],
-                                               'stats': {'degree': 198,
-                                                         'neighbor': 1016,
-                                                         'pair': 525,
+ ('gnp', 6000.0, 30000.0, 'practical', (6,)): {'values': [26818.30576336394],
+                                               'stats': {'degree': 196,
+                                                         'neighbor': 925,
+                                                         'pair': 416,
                                                          'vertex_samples': 309,
-                                                         'total': 1739},
-                                               'heavy': [],
+                                                         'total': 1537},
+                                               'heavy': [21, 60, 74, 90],
                                                'light': [11,
-                                                         21,
                                                          22,
                                                          23,
                                                          29,
                                                          30,
                                                          53,
                                                          55,
-                                                         60,
-                                                         74,
                                                          75,
                                                          82,
                                                          85,
                                                          89,
-                                                         90,
                                                          100,
                                                          115,
                                                          117,
@@ -412,39 +408,41 @@ GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639
                                                          185]}}
 GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
                                 'medians': [80.04098360655738,
-                                            76.35245901639344,
-                                            90.3688524590164,
-                                            84.8360655737705,
-                                            81.88524590163935],
+                                            78.56557377049181,
+                                            93.31967213114754,
+                                            85.57377049180327,
+                                            80.04098360655738],
                                 'queries_used': 217},
  ('wheel', 0, 99.0, 81.0, 2): {'verdict': 'light',
-                               'medians': [8.19672131147541,
-                                           11.270491803278688,
-                                           10.860655737704919,
-                                           8.60655737704918,
-                                           9.426229508196721],
+                               'medians': [7.786885245901639,
+                                           8.811475409836065,
+                                           8.19672131147541,
+                                           9.221311475409836,
+                                           8.811475409836065],
                                'queries_used': 66},
  ('wheel', 18, 99.0, 10000.0, 0): {'verdict': 'heavy', 'medians': [], 'queries_used': 1},
  ('k40', 3, 780.0, 4000.0, 3): {'verdict': 'heavy',
-                                'medians': [933.3409090909091,
-                                            622.2272727272727,
-                                            829.6363636363636,
-                                            725.9318181818181],
-                                'queries_used': 233},
+                                'medians': [829.6363636363636,
+                                            587.6590909090909,
+                                            864.2045454545455,
+                                            656.7954545454545],
+                                'queries_used': 231},
  ('skewed', 0, 18000.0, 30000.0, 4): {'verdict': 'heavy',
-                                      'medians': [4395.970297029703,
-                                                  4369.475247524752,
-                                                  3656.3168316831684],
-                                      'queries_used': 999},
+                                      'medians': [592.4473176029145,
+                                                  3554.683905617487,
+                                                  3657.7316375195232],
+                                      'queries_used': 611},
  ('skewed', 1500, 18000.0, 30000.0, 5): {'verdict': 'light',
                                          'medians': [0.0, 0.0, 0.0],
                                          'queries_used': 6},
  ('gnp', 10, 6000.0, 30000.0, 6): {'verdict': 'light',
-                                   'medians': [1573.8, 356.85, 689.3],
-                                   'queries_used': 171}}
-GOLDEN_CLI = {'estimate-json': 'fe8ec8c02ddcf1cd2c651c71e296cfd161a6fa7fdbd88ae50d272ab0132a42c1',
- 'estimate-plain': '9d0f0fb1b590adbad85f37d80ba0bc7d2f549b16f303bbe18a5615016ecea002',
- 'bench-csv': '04a1e1ffe999e1d67c4cc684a56dff4921304e035cccfe5721e83d44b3250352'}
+                                   'medians': [708.7559523559573,
+                                               236.25198411865244,
+                                               472.5039682373049],
+                                   'queries_used': 137}}
+GOLDEN_CLI = {'estimate-json': 'd943108635877f17e6e96aad4d5b118fe4f7f744a4aa622b94e67fd92b5aa5e2',
+ 'estimate-plain': '0f4ab69f3cfd4139a2c56faf62d4c78357ce968f5d7d113e0ff5afed86f3baf7',
+ 'bench-csv': 'eabf88f63420f65184d6acfec1da6219d1df298ebbde311a768044f653b6ed62'}
 
 # Recorded from the revision before the vectorized exact counter.
 GOLDEN_EXACT_CLI = {

@@ -427,6 +427,13 @@ def _reference_parse(lines):
         error = exc
     flat = np.frombuffer(pairs, dtype=np.int64, count=2 * len(line_nos))
     n = max(int(flat.max(initial=-1)) + 1, declared_n or 0)
+    if n > graph_store.MAX_VERTICES:
+        # No pair is at fault, so the line that set n is: the header's n
+        # (2**63 is a bad token), or else the first pair with the largest id.
+        line = header_line if declared_n == n else line_nos[int(np.argmax(flat)) // 2]
+        raise GraphFormatError(
+            line, f"vertex count {n} is over {graph_store.MAX_VERTICES}, the most int64 row keys allow"
+        )
     try:
         graph = Graph.from_edges(n, flat.reshape(-1, 2))
     except ValueError:

@@ -158,14 +158,17 @@ class TestSampledVerdicts:
             )
         assert runs[0] == runs[1]
 
-    def test_wheel_hub_estimates_are_unbiased(self):
+    @pytest.mark.parametrize("m_bar, s_scale", [(120.0, 0.25), (1600.0, 0.01)])
+    def test_wheel_hub_estimates_are_unbiased(self, m_bar, s_scale):
         # The hub of the bipartite-rim wheel has t_v = 81; with enough
         # repetitions the mean of the per-repetition estimates recovers it.
+        # At m_bar 1600 (sqrt 40) every sample is thinned: a hub-rim edge,
+        # whose smaller endpoint has degree 10, is kept with probability 1/4.
         g, hub = wheel_like_graph()
         o = QueryOracle(g, seed=0)
-        params = HeavyParams(outer_reps=500, s_scale=0.25)
+        params = HeavyParams(outer_reps=500, s_scale=s_scale)
         verdict = classify_heavy(
-            o, hub, m_bar=120.0, t_bar=64.0, eps=0.5, params=params, rng=np.random.default_rng(11)
+            o, hub, m_bar=m_bar, t_bar=64.0, eps=0.5, params=params, rng=np.random.default_rng(11)
         )
         assert len(verdict.medians) == 500
         mean = statistics.fmean(verdict.medians)
@@ -206,9 +209,11 @@ class TestBatchKernel:
     @staticmethod
     def reference(oracle, vs, m_bar, t_bar, eps, params, rng, chunk):
         """classify_batch replayed in plain Python: the same Generator draws,
-        chunk by chunk of `chunk` samples, answered by scalar q_degree,
-        q_neighbor and q_pair and closed with Graph.precedes."""
+        chunk by chunk of `chunk` samples (edges, thinning coins, probes),
+        answered by scalar q_degree, q_neighbor and q_pair and closed with
+        Graph.precedes; a hit scores max(d_u, sqrt(m_bar)) / r."""
         g = oracle.graph
+        sqrt_m = math.sqrt(m_bar)
         eps = min(eps, 0.5)
         reps, s = params.resolve_outer(oracle.n), params.resolve_s(m_bar, t_bar, eps)
         degs = [oracle.q_degree(v) for v in vs]
@@ -226,17 +231,19 @@ class TestBatchKernel:
                 d_u = min(degs[i], oracle.q_degree(x))
                 u, o = (x, v) if g.precedes(x, v) else (v, x)
                 edges.append((v, x, u, o, d_u, ceil_div_by_sqrt(d_u, m_bar)))
-            highs = [d_u for *_, d_u, r in edges for _ in range(r)]
-            probes = iter(rng.integers(1, np.array(highs) + 1).tolist())
+            # Each sample is kept with probability min(1, d_u / sqrt(m_bar)).
+            coins = rng.random(len(part)).tolist()
+            kept = [(key, edge) for key, edge, c in zip(part, edges, coins) if c < edge[4] / sqrt_m]
+            highs = [d_u for _, (*_, d_u, r) in kept for _ in range(r)]
+            probes = iter(rng.integers(1, np.array(highs, dtype=np.int64) + 1).tolist())
             partial = {}
-            for key, (v, x, u, o, d_u, r) in zip(part, edges):
-                hits = 0
+            for key, (v, x, u, o, d_u, r) in kept:
                 for _ in range(r):
                     w = oracle.q_neighbor(u, next(probes))
                     if w not in (v, x) and oracle.q_pair(o, w):
                         oracle.q_degree(w)
-                        hits += g.precedes(x, w)
-                partial[key] = partial.get(key, 0.0) + hits * d_u / r
+                        if g.precedes(x, w):
+                            partial[key] = partial.get(key, 0.0) + max(d_u, sqrt_m) / r
             for key, value in partial.items():
                 sums[key] += value
         threshold = decision_threshold(t_bar, eps)
@@ -255,8 +262,10 @@ class TestBatchKernel:
         # G(60, 0.3) and two isolated vertices, which the degree shortcut decides.
         g = Graph.from_edges(62, gnp_edges(60, 0.3, seed=1))
         vs = list(range(0, 60, 3)) + [60, 61]
-        # At m_bar 150 an endpoint of degree over 12 makes 2 probes.
-        advice = (150.0, 300.0, 0.5, HeavyParams(outer_reps=3, s_scale=1.0 / 64.0))
+        # At m_bar 300 (sqrt 17.3) a sample whose endpoint u has degree 17
+        # or less is kept with probability d_u / 17.3, and one over 17 makes
+        # 2 probes.
+        advice = (300.0, 300.0, 0.5, HeavyParams(outer_reps=3, s_scale=1.0 / 180.0))
         assert advice[3].resolve_s(*advice[:3]) == 8
         oracles = [QueryOracle(g, seed=0) for _ in range(2)]
         rngs = [np.random.default_rng(5) for _ in range(2)]
