@@ -148,11 +148,10 @@ def estimate_with_advice(
     pairs and the closers' degrees), then one classify_batch call for every
     vertex of the block's hits that verdict_cache lacks, and scores the
     hits from verdict_cache. The set of queries a run asks is fixed by its
-    draws and the verdicts, so the estimate does not depend on that order
-    as long as the budget holds. The charged count can: a pair query is
-    free when a neighbor answer revealed the pair first, so the order
-    decides how many charges the same queries cost, and with it where the
-    budget trips.
+    draws and the verdicts, and the oracle charges each distinct question
+    once, by its own kind, so neither the estimate nor the charged count
+    depends on that order; the order decides only which query meets a
+    budget trip.
     """
     check_advice(m_bar, t_bar, eps)
     if params is None:

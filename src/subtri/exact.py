@@ -36,10 +36,13 @@ from .graph_store import Graph
 from .heavy import BORDERLINE, HEAVY, LIGHT, degree_cutoff, heavy_tv_cutoff, light_tv_cutoff
 
 # Probes searched per pass of count_ordered. Each pass holds up to five int64
-# temporaries of this length (2 MiB each), whatever the graph's probe total.
+# temporaries of this length (512 KiB each), whatever the graph's probe total.
 # At most _MAX_WORKERS passes run at once, so at most that many sets of
-# temporaries are in flight; a graph of one pass starts no thread.
-_WEDGE_CHUNK = 1 << 18
+# temporaries are in flight; a graph of one pass starts no thread. Passes of
+# 2^18 probes needed about 4 MiB of heap that the allocator may hand back to
+# the system between calls, so a call's time hung on how much memory the code
+# before it had freed; passes this size fit in the heap it keeps.
+_WEDGE_CHUNK = 1 << 16
 _MAX_WORKERS = 4
 
 

@@ -65,13 +65,15 @@ class Graph:
     def from_edges(cls, n: int, edges: Sequence[tuple[int, int]]) -> "Graph":
         """Build a graph from (u, v) integer pairs, in any order.
 
-        A ValueError names an n over MAX_VERTICES or too large for the
-        memory its per-vertex arrays need, an edge count too large for the
-        memory of its 2m keys, or else the first pair with a non-integer id,
-        an id outside [0, n), equal ends or an earlier pair's ends, in either
-        orientation. The graph does not depend on the pairs' order or on
-        which end comes first.
+        A ValueError names a negative n, an n over MAX_VERTICES or too large
+        for the memory its per-vertex arrays need, an edge count too large
+        for the memory of its 2m keys, or else the first pair with a
+        non-integer id, an id outside [0, n), equal ends or an earlier pair's
+        ends, in either orientation. The graph does not depend on the pairs'
+        order or on which end comes first.
         """
+        if n < 0:
+            raise ValueError("vertex count must be nonnegative")
         if n > MAX_VERTICES:
             raise ValueError(f"vertex count {n} is over {MAX_VERTICES}, the most int64 row keys allow")
         arr = np.asarray(edges)

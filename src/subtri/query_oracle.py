@@ -70,29 +70,19 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _first_distinct(values: np.ndarray, k: int) -> np.ndarray:
-    """Positions in values of the first occurrences of its first k distinct
-    entries, in array order."""
-    _, first = np.unique(values, return_index=True)
-    first.sort()
-    return first[:k]
-
-
 class QueryOracle:
     """Query-counting, memoizing wrapper around a Graph.
 
-    Answers never change (the graph is static), so the oracle keeps a record
-    of what has been revealed and never charges twice for the same fact.
-    Revealed neighbor answers are a bitmap over CSR slots and revealed
-    degrees a bitmap over vertices; the rare neighbor index past the degree
-    is kept in a set. A neighbor answer also reveals adjacency, so an edge
-    pair is known when a neighbor answer revealed either of its two slots,
-    or when a pair query charged it, which sets a second slot bitmap at its
-    slot in the smaller-id end's row. A non-edge pair is known when a pair
-    query charged it: charged non-edges are a sorted array of pair keys
-    min * n + max. The neighbor and pair counts in stats and budget_charged
-    are kept beside these memos, so budget_charged == neighbor + pair holds
-    by construction, and stats is O(1) to read.
+    Answers never change (the graph is static), so each kind of query is
+    charged once per distinct question, and only by a query of that kind.
+    Charged degree queries are a bitmap over vertices and charged neighbor
+    queries a bitmap over CSR slots; the rare neighbor index past the degree
+    is kept in a set. Charged pair queries, edges and non-edges alike, are
+    one sorted array of pair keys min * n + max, whose length is the pair
+    count. The neighbor count is kept beside its bitmap, so budget_charged
+    == neighbor + pair holds by construction and stats is O(1) to read. For
+    a fixed set of queries, neighbor + pair is the number of distinct slots
+    plus the number of distinct pairs, whatever the order they are asked in.
 
     Each kind of query has one implementation, a batch kernel:
     q_degree_batch, q_neighbor_batch and q_pair_batch. q_degree, q_neighbor
@@ -115,17 +105,20 @@ class QueryOracle:
         self._nbr_seen = np.zeros(len(graph.targets), dtype=bool)
         self._nbr_count = 0
         self._absent_seen: set[tuple[int, int]] = set()
-        self._pair_seen = np.zeros(len(graph.targets), dtype=bool)
-        self._non_edges = np.zeros(0, dtype=np.int64)
-        self._pair_count = 0
+        self._pair_keys = np.zeros(0, dtype=np.int64)
         self._vertex_samples = 0
         self.set_budget(budget)
 
     # -- budget -----------------------------------------------------------
 
     def set_budget(self, cap: int | None) -> None:
-        if cap is not None and cap < 0:
-            raise ValueError(f"query budget must be at least 0, got {cap}")
+        """Cap neighbor + pair at cap, an integer of at least 0, or lift the
+        cap when it is None. A float or a bool is refused, not rounded."""
+        if cap is not None:
+            if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)):
+                raise ValueError(f"query budget must be an integer, got {cap!r}")
+            if cap < 0:
+                raise ValueError(f"query budget must be at least 0, got {cap}")
         self._cap = cap
 
     @property
@@ -134,10 +127,25 @@ class QueryOracle:
 
     @property
     def budget_charged(self) -> int:
-        return self._nbr_count + len(self._absent_seen) + self._pair_count
+        return self._nbr_count + len(self._absent_seen) + self._pair_keys.size
 
     def _exhausted(self) -> BudgetExhausted:
         return BudgetExhausted(f"query budget of {self._cap} exhausted")
+
+    def _admit(self, fresh: np.ndarray) -> tuple[np.ndarray, bool]:
+        """The one charging step of a batch: fresh holds its uncharged
+        questions (slots or pair keys) in array order, repeats included.
+        Returns the distinct ones the cap has room for, ascending, and
+        whether the cap cut them. A cut keeps the first of them in order of
+        first occurrence, as the one-item loop in array order would charge
+        them before its trip."""
+        new = _distinct(fresh)
+        room = new.size if self._cap is None else max(0, self._cap - self.budget_charged)
+        if room >= new.size:
+            return new, False
+        _, first = np.unique(fresh, return_index=True)
+        first.sort()
+        return np.sort(fresh[first[:room]]), True
 
     # -- queries ----------------------------------------------------------
 
@@ -202,11 +210,7 @@ class QueryOracle:
         ws = self.graph.targets[slots]
         fresh = slots[~self._nbr_seen[slots]]
         if fresh.size:
-            new = _distinct(fresh)
-            room = new.size if self._cap is None else max(0, self._cap - self.budget_charged)
-            tripped = room < new.size
-            if tripped:
-                new = fresh[_first_distinct(fresh, room)]
+            new, tripped = self._admit(fresh)
             self._nbr_seen[new] = True
             self._nbr_count += new.size
             if tripped:
@@ -223,11 +227,12 @@ class QueryOracle:
         q_pair on each pair in array order would charge.
 
         A ValueError or IndexError (the one q_pair would raise first) is
-        raised before anything is charged. The fresh distinct pairs are
-        charged in order of first occurrence; when the cap leaves room for
-        only some of them, those are charged and BudgetExhausted is raised,
-        so the memo ends as the scalar loop's does at its trip. Answers and
-        the memo's slots come from Graph.edge_slots.
+        raised before anything is charged. A pair is charged the first time
+        it is asked, edge or not, whatever neighbor answers returned it; the
+        fresh distinct pairs are charged in order of first occurrence. When
+        the cap leaves room for only some of them, those are charged and
+        BudgetExhausted is raised, so the memo ends as the scalar loop's does
+        at its trip. Answers come from Graph.edge_slots.
         """
         us = _int64(us)
         ws = _int64(ws)
@@ -243,42 +248,24 @@ class QueryOracle:
                 raise ValueError("pair query needs two distinct vertices")
             raise IndexError("vertex out of range")
         lo, hi = np.minimum(us, ws), np.maximum(us, ws)
-        slots = self.graph.edge_slots(lo, hi)
-        edge = slots >= 0
-        known = np.zeros(us.size, dtype=bool)
-        at = np.flatnonzero(edge)
-        known[at] = self._pair_seen[slots[at]] | self._nbr_seen[slots[at]]
-        # An edge that a neighbor answer revealed from its larger-id end.
-        at = at[~known[at]]
-        known[at] = self._nbr_seen[self.graph.edge_slots(hi[at], lo[at])]
-        keys = lo * n + hi
-        charged = self._non_edges
+        edge = self.graph.edge_slots(lo, hi) >= 0
+        fresh = lo * n + hi
+        charged = self._pair_keys
         if charged.size:
-            at = np.flatnonzero(~edge)
-            pos = np.minimum(np.searchsorted(charged, keys[at]), charged.size - 1)
-            known[at] = charged[pos] == keys[at]
-        fresh = np.flatnonzero(~known)
+            pos = np.minimum(np.searchsorted(charged, fresh), charged.size - 1)
+            fresh = fresh[charged[pos] != fresh]
         if fresh.size:
-            count = _distinct(keys[fresh]).size
-            room = count if self._cap is None else max(0, self._cap - self.budget_charged)
-            tripped = room < count
-            if tripped:
-                fresh = fresh[_first_distinct(keys[fresh], room)]
-                count = room
-            is_edge = edge[fresh]
-            self._pair_seen[slots[fresh[is_edge]]] = True
-            new = _distinct(keys[fresh[~is_edge]])
-            if new.size:
-                self._non_edges = np.insert(charged, np.searchsorted(charged, new), new)
-            self._pair_count += count
+            new, tripped = self._admit(fresh)
+            self._pair_keys = np.insert(charged, np.searchsorted(charged, new), new)
             if tripped:
                 raise self._exhausted()
         return edge
 
     def sample_vertices(self, k: int, rng: np.random.Generator | None = None) -> np.ndarray:
         """k uniform vertex ids with replacement. Counted per id, never budget-charged."""
+        vs = (rng or self._np_rng).integers(0, self.n, size=k, dtype=np.int64)
         self._vertex_samples += k
-        return (rng or self._np_rng).integers(0, self.n, size=k, dtype=np.int64)
+        return vs
 
     # No caller in the package draws one edge at a time; bench/tracer.py looks this up by name.
     def q_random_edge_at(self, v: int, rng: np.random.Generator | None = None) -> tuple[int, int]:
@@ -298,6 +285,6 @@ class QueryOracle:
         return QueryStats(
             degree=self._deg_count,
             neighbor=self._nbr_count + len(self._absent_seen),
-            pair=self._pair_count,
+            pair=self._pair_keys.size,
             vertex_samples=self._vertex_samples,
         )

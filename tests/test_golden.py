@@ -174,13 +174,14 @@ def run_exact_cli(tmp_path, capsys) -> dict:
 # Recorded from the batched classifier drawing from its run's Generator,
 # with one classifier call per block of an advice run's samples, on rows
 # stored by ascending neighbor id, with the classifier sampling through the
-# advice run's edge-probe kernel (thinned samples included).
+# advice run's edge-probe kernel (thinned samples included), and with each
+# pair query charged the first time its pair is asked.
 GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 5825.125029546865,
                           'queries': {'degree': 256,
                                       'neighbor': 11066,
-                                      'pair': 3617,
+                                      'pair': 3811,
                                       'vertex_samples': 27302,
-                                      'total': 14939},
+                                      'total': 15133},
                           'runs': 28,
                           't_bar': 2048.0,
                           'fallback_used': False,
@@ -188,40 +189,40 @@ GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 5825.125029546865,
  ('skewed', None, 0): {'estimate': 31493.371969330772,
                        'queries': {'degree': 2000,
                                    'neighbor': 10596,
-                                   'pair': 2199,
+                                   'pair': 2371,
                                    'vertex_samples': 120295,
-                                   'total': 14795},
+                                   'total': 14967},
                        'runs': 40,
                        't_bar': 15258.7890625,
                        'fallback_used': False,
                        'fallback_reason': None},
  ('k40', None, 0): {'estimate': 9880.0,
                     'queries': {'degree': 40,
-                                'neighbor': 1301,
-                                'pair': 259,
-                                'vertex_samples': 5204,
+                                'neighbor': 975,
+                                'pair': 585,
+                                'vertex_samples': 5044,
                                 'total': 1600},
-                    'runs': 8,
+                    'runs': 6,
                     't_bar': None,
                     'fallback_used': True,
                     'fallback_reason': 'budget'},
  ('gnp', None, 1): {'estimate': 31473.71213215189,
                     'queries': {'degree': 200,
                                 'neighbor': 5236,
-                                'pair': 2521,
+                                'pair': 2935,
                                 'vertex_samples': 18357,
-                                'total': 7957},
+                                'total': 8371},
                     'runs': 20,
                     't_bar': 15625.0,
                     'fallback_used': False,
                     'fallback_reason': None},
  ('clique-n3000', None, 1): {'estimate': 120.0,
                              'queries': {'degree': 3000,
-                                         'neighbor': 57,
-                                         'pair': 17,
-                                         'vertex_samples': 115456,
+                                         'neighbor': 48,
+                                         'pair': 26,
+                                         'vertex_samples': 103620,
                                          'total': 3074},
-                             'runs': 33,
+                             'runs': 28,
                              't_bar': None,
                              'fallback_used': True,
                              'fallback_reason': 'budget'},
@@ -268,9 +269,9 @@ GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 5825.125029546865,
 GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639344262295],
                                              'stats': {'degree': 12,
                                                        'neighbor': 132,
-                                                       'pair': 3,
+                                                       'pair': 65,
                                                        'vertex_samples': 32,
-                                                       'total': 147},
+                                                       'total': 209},
                                              'heavy': [],
                                              'light': [0,
                                                        1,
@@ -287,9 +288,9 @@ GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639
  ('k40', 780.0, 16000.0, 'practical', (1, 2)): {'values': [6760.0, 20280.0],
                                                 'stats': {'degree': 40,
                                                           'neighbor': 460,
-                                                          'pair': 168,
+                                                          'pair': 322,
                                                           'vertex_samples': 112,
-                                                          'total': 668},
+                                                          'total': 822},
                                                 'heavy': [21, 24, 26],
                                                 'light': [4,
                                                           7,
@@ -302,9 +303,9 @@ GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639
                                                          60.42279411764706],
                                               'stats': {'degree': 19,
                                                         'neighbor': 180,
-                                                        'pair': 42,
+                                                        'pair': 54,
                                                         'vertex_samples': 256,
-                                                        'total': 241},
+                                                        'total': 253},
                                               'heavy': [13, 18],
                                               'light': [0,
                                                         1,
@@ -322,9 +323,9 @@ GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639
                                                                 22016.171988094266],
                                                      'stats': {'degree': 1991,
                                                                'neighbor': 3034,
-                                                               'pair': 654,
+                                                               'pair': 679,
                                                                'vertex_samples': 8542,
-                                                               'total': 5679},
+                                                               'total': 5704},
                                                      'heavy': [1,
                                                                4,
                                                                7,
@@ -382,9 +383,9 @@ GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639
  ('gnp', 6000.0, 30000.0, 'practical', (6,)): {'values': [26818.30576336394],
                                                'stats': {'degree': 196,
                                                          'neighbor': 925,
-                                                         'pair': 416,
+                                                         'pair': 457,
                                                          'vertex_samples': 309,
-                                                         'total': 1537},
+                                                         'total': 1578},
                                                'heavy': [21, 60, 74, 90],
                                                'light': [11,
                                                          22,
@@ -412,7 +413,7 @@ GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
                                             93.31967213114754,
                                             85.57377049180327,
                                             80.04098360655738],
-                                'queries_used': 217},
+                                'queries_used': 235},
  ('wheel', 0, 99.0, 81.0, 2): {'verdict': 'light',
                                'medians': [7.786885245901639,
                                            8.811475409836065,
@@ -420,18 +421,20 @@ GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
                                            9.221311475409836,
                                            8.811475409836065],
                                'queries_used': 66},
- ('wheel', 18, 99.0, 10000.0, 0): {'verdict': 'heavy', 'medians': [], 'queries_used': 1},
+ ('wheel', 18, 99.0, 10000.0, 0): {'verdict': 'heavy',
+                                   'medians': [],
+                                   'queries_used': 1},
  ('k40', 3, 780.0, 4000.0, 3): {'verdict': 'heavy',
                                 'medians': [829.6363636363636,
                                             587.6590909090909,
                                             864.2045454545455,
                                             656.7954545454545],
-                                'queries_used': 231},
+                                'queries_used': 243},
  ('skewed', 0, 18000.0, 30000.0, 4): {'verdict': 'heavy',
                                       'medians': [592.4473176029145,
                                                   3554.683905617487,
                                                   3657.7316375195232],
-                                      'queries_used': 611},
+                                      'queries_used': 623},
  ('skewed', 1500, 18000.0, 30000.0, 5): {'verdict': 'light',
                                          'medians': [0.0, 0.0, 0.0],
                                          'queries_used': 6},
@@ -439,10 +442,10 @@ GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
                                    'medians': [708.7559523559573,
                                                236.25198411865244,
                                                472.5039682373049],
-                                   'queries_used': 137}}
-GOLDEN_CLI = {'estimate-json': 'd943108635877f17e6e96aad4d5b118fe4f7f744a4aa622b94e67fd92b5aa5e2',
- 'estimate-plain': '0f4ab69f3cfd4139a2c56faf62d4c78357ce968f5d7d113e0ff5afed86f3baf7',
- 'bench-csv': 'eabf88f63420f65184d6acfec1da6219d1df298ebbde311a768044f653b6ed62'}
+                                   'queries_used': 140}}
+GOLDEN_CLI = {'estimate-json': '851b758353412b3021c097e5ad91a68ea02a359175e1ec33e673dc4230197888',
+ 'estimate-plain': 'cc90306f2bf09aa709da1578e037aaa4e53100080110f031cf50a725124f2dbe',
+ 'bench-csv': 'a6fb8aacbfd0c834489a17b2ead31dde6d8795e0e96f424ca16c85135cbe5c4a'}
 
 # Recorded from the revision before the vectorized exact counter.
 GOLDEN_EXACT_CLI = {

@@ -70,6 +70,12 @@ class TestFromEdges:
         g_report, h_report = (estimate(QueryOracle(x, seed=0), seed=0).to_json_dict(timing=False) for x in (g, h))
         assert h_report == g_report
 
+    def test_rejects_negative_vertex_count(self):
+        # The loader's message, not numpy's from the degree count.
+        for edges in ([], [(0, 1)]):
+            with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+                Graph.from_edges(-1, edges)
+
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self loop"):
             Graph.from_edges(3, [(0, 1), (1, 1)])

@@ -28,16 +28,10 @@ from subtri.query_oracle import QueryOracle
 from util import gnp_edges, wheel_like_graph
 
 
-def known_pairs(oracle: QueryOracle) -> dict[int, bool]:
-    """Every pair the oracle answers without a charge, as key min * n + max
-    -> adjacency: the edges at a slot a neighbor answer revealed or a pair
-    query charged, and the charged non-edges."""
-    g = oracle.graph
-    slots = np.flatnonzero(oracle._nbr_seen | oracle._pair_seen)
-    rows = np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)[slots]
-    ends = g.targets[slots]
-    keys = np.minimum(rows, ends) * g.n + np.maximum(rows, ends)
-    return {**dict.fromkeys(keys.tolist(), True), **dict.fromkeys(oracle._non_edges.tolist(), False)}
+def known_pairs(oracle: QueryOracle) -> list[int]:
+    """Every pair the oracle answers without a charge: its charged pair
+    keys min * n + max, ascending."""
+    return oracle._pair_keys.tolist()
 
 
 def star_oracle(leaves: int, seed: int = 0) -> tuple[QueryOracle, int]:
@@ -276,11 +270,8 @@ class TestBatchKernel:
         assert HEAVY in verdicts and LIGHT in verdicts
         assert found[-2:] == [(LIGHT, ()), (LIGHT, ())]
         assert all(len(est) == 3 for _, est in found[:-2])
-        # Both asked the same queries. The pair charge is not compared: a
-        # pair query is free when a neighbor answer revealed the pair first,
-        # so it depends on the order.
-        stats = [(o.stats.degree, o.stats.neighbor) for o in oracles]
-        assert stats[0] == stats[1]
+        # Both asked the same queries, so they charged the same.
+        assert oracles[0].stats == oracles[1].stats
         assert known_pairs(oracles[0]) == known_pairs(oracles[1])
 
     def test_shortcuts_and_samplers_mix_in_one_call(self):

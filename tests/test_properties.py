@@ -64,8 +64,9 @@ def ask(oracle: QueryOracle, q):
     return oracle.q_pair(*q[1])
 
 
-class Revealed:
-    """What a caller has learned; a query outside it is a new distinct query."""
+class Asked:
+    """The charged questions a caller has asked; a query outside them is a
+    new distinct query. A neighbor answer does not make its pair asked."""
 
     def __init__(self):
         self.slots: set[tuple[int, int]] = set()
@@ -78,11 +79,9 @@ class Revealed:
             return frozenset(q[1]) not in self.pairs
         return False
 
-    def learn(self, q, answer) -> None:
+    def learn(self, q) -> None:
         if q[0] == "neighbor":
             self.slots.add((q[1], q[2]))
-            if answer is not None:
-                self.pairs.add(frozenset((q[1], answer)))
         elif q[0] == "pair":
             self.pairs.add(frozenset(q[1]))
 
@@ -125,19 +124,19 @@ class TestOracleMetering:
     def test_exhaustion_only_on_a_new_distinct_query(self, case, cap):
         g, queries = case
         oracle = QueryOracle(g, seed=0, budget=cap)
-        seen = Revealed()
+        seen = Asked()
         for q in queries:
             new = seen.is_new_charged(q)
             before = oracle.stats
             try:
-                answer = ask(oracle, q)
+                ask(oracle, q)
             except BudgetExhausted:
                 assert new
                 assert oracle.budget_charged == cap
                 assert oracle.stats == before
                 continue
-            seen.learn(q, answer)
-            assert oracle.budget_charged == len(seen.slots) + oracle.stats.pair
+            seen.learn(q)
+            assert oracle.budget_charged == len(seen.slots) + len(seen.pairs)
 
     @given(graphs(), st.lists(st.one_of(st.integers(0, 11), st.lists(st.integers(0, 11), max_size=8))))
     @settings(max_examples=150, deadline=None)
@@ -226,9 +225,9 @@ def observed_memo(oracle: QueryOracle) -> list:
 class DictMemoOracle:
     """QueryOracle's charging with its pair memo as a dict, scalar only.
 
-    A neighbor answer seeds the dict with its pair, and a pair query is
-    charged the first time its pair is asked and not in the dict. Batches
-    are scalar loops in array order. Adjacency comes from Graph.has_edge.
+    A pair query is charged the first time its pair is asked, whatever
+    neighbor answers returned it. Batches are scalar loops in array order.
+    Adjacency comes from Graph.has_edge.
     """
 
     def __init__(self, graph: Graph):
@@ -264,9 +263,7 @@ class DictMemoOracle:
             self._slots.add((v, i))
         if i > self.graph.degree(v):
             return None
-        w = int(self.graph.neighbors(v)[i - 1])
-        self._pairs[frozenset((v, w))] = True
-        return w
+        return int(self.graph.neighbors(v)[i - 1])
 
     def q_pair(self, u: int, w: int) -> bool:
         if u == w:
@@ -293,11 +290,10 @@ def interleavings(draw):
     any order, with cap changes between them.
 
     Pairs and slots come from small pools, so they repeat within and across
-    operations; most pairs are edges, in either orientation, so neighbor
-    answers reveal many of them. A ("cap", k) sets the cap to k more than
-    the charge so far and ("cap", None) lifts it. A batch carries such a k
-    (or None, to keep the cap) of its own, set just before it runs, so
-    that batches often trip part way.
+    operations; most pairs are edges, in either orientation. A ("cap", k)
+    sets the cap to k more than the charge so far and ("cap", None) lifts
+    it. A batch carries such a k (or None, to keep the cap) of its own, set
+    just before it runs, so that batches often trip part way.
     """
     g = draw(graphs())
     vertex = st.integers(0, g.n - 1)
@@ -405,11 +401,10 @@ def pair_batch_cases(draw):
     """(graph, scalar queries asked first, (u, w) pairs for one batch, cap).
 
     The batch holds a few distinct pairs, most of them repeated, in any
-    order, and the first queries' neighbor answers reveal some of them. One case in eight
-    carries a bad pair (equal ends or an end out of range). The cap is None,
-    any value from 0 up, below or above what the first queries charge, or
-    ("room", k): k more than they charge, so that the batch often trips
-    part way.
+    order. One case in eight carries a bad pair (equal ends or an end out
+    of range). The cap is None, any value from 0 up, below or above what
+    the first queries charge, or ("room", k): k more than they charge, so
+    that the batch often trips part way.
     """
     g, queries = draw(graph_and_queries())
     vertex = st.integers(0, g.n - 1)
@@ -686,10 +681,15 @@ class PassFailed(Exception):
     pass
 
 
+# A chunk above every probe total here, so each graph counts in one pass, as
+# at the default chunk.
+ONE_PASS = 1 << 18
+
+
 class TestOrderedKernel:
     # Chunk sizes of 1 and 3 split one vertex's probes over several passes
     # and put chunk boundaries inside and between forward positions.
-    @pytest.mark.parametrize("chunk", [exact._WEDGE_CHUNK, 3, 1])
+    @pytest.mark.parametrize("chunk", [ONE_PASS, 3, 1])
     @given(g=padded_graphs())
     @settings(max_examples=150, deadline=None)
     def test_matches_brute_per_slot(self, chunk, g):
@@ -702,9 +702,9 @@ class TestOrderedKernel:
             assert np.array_equal(ordered.t_e_slots, brute.t_e_slots)
             assert ordered.t_e == brute.t_e
 
-    # Each case runs on 1, 2 and 4 workers; below the default chunk every
-    # graph here takes many passes, so the threads split them.
-    @pytest.mark.parametrize("chunk", [exact._WEDGE_CHUNK, 7, 3, 1])
+    # Each case runs on 1, 2 and 4 workers; below one pass every graph here
+    # takes many passes, so the threads split them.
+    @pytest.mark.parametrize("chunk", [ONE_PASS, 7, 3, 1])
     @pytest.mark.parametrize("name", list(KERNEL_GRAPHS))
     def test_matches_wedge_reference(self, chunk, name):
         g = KERNEL_GRAPHS[name]()

@@ -49,13 +49,47 @@ class TestDistinctCounting:
         assert o.q_pair(1, 0) is True
         assert o.stats.pair == 1
 
-    def test_neighbor_answer_seeds_pair_memo(self):
+    def test_neighbor_answer_leaves_pair_query_charged(self):
+        # Each kind is charged by its own queries: a neighbor answer that
+        # returned the pair does not make the pair query free.
         o = triangle_oracle()
         w = o.q_neighbor(0, 1)
         before = o.budget_charged
         assert o.q_pair(0, w) is True
-        assert o.stats.pair == 0
-        assert o.budget_charged == before
+        assert o.stats.pair == 1
+        assert o.budget_charged == before + 1
+
+    def test_charged_count_does_not_depend_on_query_order(self):
+        # The same neighbor and pair queries, asked neighbor-first,
+        # pair-first and as shuffled mixed batches, charge the distinct
+        # slots plus the distinct pairs. Most pairs are edges that the
+        # neighbor answers return, in either orientation.
+        g = gnp_graph(16, 0.4, seed=4)
+        slots = [(v, i) for v in range(0, g.n, 2) for i in range(1, g.degree(v) + 1)]
+        pairs = [(int(g.neighbors(v)[i - 1]), v) for v, i in slots[::2]]
+        pairs += [(u, v) for u in range(4) for v in range(u + 1, g.n)]
+        want = len(set(slots)) + len({frozenset(p) for p in pairs})
+        queries = [("neighbor", v, i) for v, i in slots] + [("pair", p) for p in pairs]
+
+        def charged(batches) -> tuple:
+            o = QueryOracle(g, seed=0)
+            for batch in batches:
+                for kind, call in (("neighbor", o.q_neighbor_batch), ("pair", o.q_pair_batch)):
+                    ends = np.array([q[1:] if kind == "neighbor" else q[1] for q in batch if q[0] == kind])
+                    if ends.size:
+                        call(ends[:, 0], ends[:, 1])
+            return o.stats, o.budget_charged
+
+        neighbor_first = charged([[q] for q in queries])
+        assert neighbor_first[0].pair == want - len(set(slots))
+        assert neighbor_first[1] == want
+        assert charged([[q] for q in queries[::-1]]) == neighbor_first
+        rng = random.Random(7)
+        for _ in range(5):
+            shuffled = rng.sample(queries, len(queries))
+            cuts = sorted(rng.sample(range(1, len(shuffled)), 6))
+            batches = [shuffled[a:b] for a, b in zip([0] + cuts, cuts + [len(shuffled)])]
+            assert charged(batches) == neighbor_first
 
     def test_total_sums_graph_queries_only(self):
         o = triangle_oracle()
@@ -88,7 +122,7 @@ class TestDistinctCounting:
         s = o.stats
         assert s.degree == g.n
         assert s.neighbor == 2 * g.m + g.n  # one absent probe per vertex
-        assert s.pair <= g.n * (g.n - 1) // 2
+        assert s.pair == g.n * (g.n - 1) // 2
 
 
 class TestAnswerSoundness:
@@ -239,6 +273,19 @@ class TestBudget:
             o.set_budget(-1)
         assert o.budget_cap == 0
 
+    def test_non_integer_cap_is_rejected(self):
+        # A float cap would break the trip's slice; a bool is not a count.
+        for cap in (2.5, 2.0, True, np.float64(3.0)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                triangle_oracle(budget=cap)
+        o = triangle_oracle(budget=np.int64(1))
+        with pytest.raises(ValueError, match="must be an integer"):
+            o.set_budget(1.5)
+        assert o.budget_cap == 1
+        o.q_neighbor(0, 1)
+        with pytest.raises(BudgetExhausted):
+            o.q_pair(1, 2)
+
     def test_batch_under_a_lowered_cap_charges_nothing(self):
         o = QueryOracle(complete_graph(5), seed=0)
         o.q_neighbor(0, 1)
@@ -267,6 +314,12 @@ class TestSampling:
         o.sample_vertices(7)
         o.sample_vertices(1)
         assert o.stats.vertex_samples == 8
+
+    def test_refused_draw_is_not_counted(self):
+        o = triangle_oracle()
+        with pytest.raises(ValueError):
+            o.sample_vertices(-2)
+        assert o.stats.vertex_samples == 0
 
     def test_uniformity_within_five_sigma(self):
         n, draws = 10, 100_000
