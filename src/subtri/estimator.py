@@ -2,12 +2,20 @@
 
 estimate_with_advice produces one estimate X given advice (m_bar, t_bar)
 with E[X] <= t always, and E[X] close to t when the advice brackets the
-truth. estimate removes the advice assumption: it pins m_bar with a sampled
-average-degree stage, then descends t_bar = n^3, n^3/2, ... once,
+truth. estimate removes the advice assumption: it pins m_bar with an
+average-degree stage, then descends t_bar = top, top/2, ... once,
 accepting the first level whose (minimum-over-runs) estimate clears the
 level. Budget exhaustion or full descent falls back to an exact count,
 mirroring the abort argument: once a 2*m_bar query budget is spent, reading
 the whole graph is no more expensive asymptotically.
+
+One rule applies at both places that draw uniform vertices: a stage that
+would draw at least n of them reads V instead, at the cost of the n
+distinct degree queries an estimate pays anyway. The average-degree stage
+then returns the exact mean, so m_bar = m and the descent starts at Rivin's
+bound top = (sqrt(2)/3) * m^(3/2) instead of n^3. An advice run that reads
+V samples exactly uniform edges and calls no classifier (Assadi, Kapralov
+and Khanna, ITCS 2019, count from uniform edges without one).
 """
 
 from __future__ import annotations
@@ -39,15 +47,19 @@ RUNS_PER_LEVEL = 2
 FEIGE_C = 10.0
 FEIGE_EPS = 0.5
 
+# Rivin's bound: a graph with m edges has at most RIVIN * m^(3/2) triangles.
+RIVIN = math.sqrt(2.0) / 3.0
+
 # An advice run's s2 stage draws and queries its samples in blocks of this
 # many, so its arrays stay this long whatever s2 is (up to MAX_RUN_SAMPLES).
 _S2_BLOCK = 8192
 
 # Hard ceiling on a single run's s1 or s2. Beyond this the sample arrays do
 # not fit in reasonable memory and the loop would run for hours, so the run
-# is refused instead of started. estimate() degrades such runs to the exact
-# fallback; its search reaches this line at small eps (1e-5) and, at eps 0.5,
-# at t_bar = 1 once n >= 2e5.
+# is refused instead of started. An s1 of at least n counts as n, the
+# vertices the run reads instead. estimate() degrades such runs to the exact
+# fallback; its search reaches this line where s2 passes it: at small eps
+# (1e-5), or at the low levels of a descent over many edges.
 MAX_RUN_SAMPLES = 20_000_000
 
 
@@ -131,6 +143,12 @@ def estimate_with_advice(
     score so that E[X] is the total weight over light vertices, which is at
     most t for every heavy/light split and close to t for good advice.
 
+    When s1 >= n the run reads V instead of drawing: S = V and s1 = n, so
+    every edge sample is exactly uniform and no vertex draw is counted. Such
+    a run calls no classifier; a vertex scores by its verdict_cache entry,
+    LIGHT when it has none, so injected verdicts still count.
+    MAX_RUN_SAMPLES bounds min(s1, n) and s2.
+
     The edge sampling, thinning and probing is heavy.edge_hits, the kernel
     the classifier samples with: a sample probes at all with probability
     min(1, d_u / sqrt(m_bar)) and then makes ceil(d_u / sqrt(m_bar))
@@ -145,10 +163,10 @@ def estimate_with_advice(
     Generator, np.random.default_rng(seed), and the s2 samples go in blocks
     of _S2_BLOCK. Each block draws its vertices by degree, then makes one
     edge_hits call (its edges, their far ends' degrees, the probes, the
-    pairs and the closers' degrees), then one classify_batch call for every
-    vertex of the block's hits that verdict_cache lacks, and scores the
-    hits from verdict_cache. The set of queries a run asks is fixed by its
-    draws and the verdicts, and the oracle charges each distinct question
+    pairs and the closers' degrees), then, in a run that draws S, one
+    classify_batch call for every vertex of the block's hits that
+    verdict_cache lacks, and scores the hits from verdict_cache. The set of
+    queries a run asks is fixed by its draws and the verdicts, and the oracle charges each distinct question
     once, by its own kind, so neither the estimate nor the charged count
     depends on that order; the order decides only which query meets a
     budget trip.
@@ -164,12 +182,14 @@ def estimate_with_advice(
 
     s1 = max(1, math.ceil(eps**-3 * math.log(n / eps) * n / t_bar ** (1.0 / 3.0)))
     s2 = max(1, math.ceil(params.s2_scale * eps**-4 * math.log(n) ** 2 * m_bar**1.5 / t_bar))
+    read_v = s1 >= n
+    s1 = min(s1, n)
     if s1 > MAX_RUN_SAMPLES or s2 > MAX_RUN_SAMPLES:
         raise RunSizeExceeded(
             f"run wants s1={s1} and s2={s2} samples, over the {MAX_RUN_SAMPLES} "
             "ceiling; loosen eps or use practical-profile parameters"
         )
-    sample = oracle.sample_vertices(s1, np_rng)
+    sample = np.arange(n, dtype=np.int64) if read_v else oracle.sample_vertices(s1, np_rng)
     sampler = DegreeWeightedSampler(oracle, sample)
     if sampler.total_degree == 0:
         return 0.0
@@ -181,18 +201,31 @@ def estimate_with_advice(
         hit, xs, ws, score = edge_hits(oracle, vs, dvs, m_bar, np_rng)
         if not hit.size:
             continue
-        # Each hit's three vertices, then one classifier call for the ones
-        # no earlier block or run has classified.
+        # Each hit's three vertices, then, in a run that draws S, one
+        # classifier call for the ones no earlier block or run has classified.
         need, where = np.unique(np.concatenate((vs[hit], xs, ws)), return_inverse=True)
-        todo = [u for u in need.tolist() if u not in verdict_cache]
+        todo = [] if read_v else [u for u in need.tolist() if u not in verdict_cache]
         if todo:
             found = classify_batch(oracle, todo, m_bar, t_bar, eps, params.heavy_params, np_rng)
             verdict_cache.update(zip(todo, (verdict for verdict, _ in found)))
-        light = np.array([verdict_cache[u] == LIGHT for u in need.tolist()])[where].reshape(3, -1)
+        light = np.array([verdict_cache.get(u, LIGHT) == LIGHT for u in need.tolist()])
+        light = light[where].reshape(3, -1)
         # A hit scores only when v is light, split across its light vertices.
         scored = light[0]
         y_sum += float(np.sum(score[scored] / light.sum(axis=0)[scored]))
     return n / (s1 * s2) * sampler.total_degree * y_sum
+
+
+def _feige_sizes(n: int) -> tuple[int, int]:
+    """(invocations, samples per invocation) of feige_avg_degree on n vertices."""
+    reps = max(1, math.ceil(10.0 * math.log(max(n, 2))))
+    return reps, max(1, math.ceil(FEIGE_C * math.sqrt(n) / FEIGE_EPS))
+
+
+def _feige_reads_v(n: int) -> bool:
+    """Whether feige_avg_degree's draws would cover V, so that it reads V."""
+    reps, k = _feige_sizes(n)
+    return reps * k >= n
 
 
 def feige_avg_degree(oracle: QueryOracle, seed=None) -> float:
@@ -202,11 +235,19 @@ def feige_avg_degree(oracle: QueryOracle, seed=None) -> float:
     degrees; the lower median over ceil(10 ln n) invocations is returned. The
     result lands in [d_avg / (2 + o(1)), d_avg] with constant probability per
     invocation, amplified by the median.
+
+    When the invocations would draw at least n vertices in all (every n up
+    to about 1.05e7), the stage reads V instead: it returns the mean of all n
+    degrees, which is exact, and draws nothing. An empty graph is a
+    ValueError.
     """
-    np_rng = np.random.default_rng(seed)
     n = oracle.n
-    reps = max(1, math.ceil(10.0 * math.log(max(n, 2))))
-    k = max(1, math.ceil(FEIGE_C * math.sqrt(n) / FEIGE_EPS))
+    if n == 0:
+        raise ValueError("an average degree needs at least one vertex")
+    if _feige_reads_v(n):
+        return float(oracle.q_degree_batch(np.arange(n, dtype=np.int64)).mean())
+    np_rng = np.random.default_rng(seed)
+    reps, k = _feige_sizes(n)
     means = []
     for _ in range(reps):
         vs = oracle.sample_vertices(k, np_rng)
@@ -258,14 +299,20 @@ def estimate(
 ) -> EstimateReport:
     """Estimate the triangle count of the oracle's graph without advice.
 
-    Stages: (1) average-degree sampling pins m_bar = n * d_bar / 2 and, unless
-    the caller installed one, a query budget of ceil(2 * m_bar); (2) one
-    descent visits t_bar = n^3 / 2^level once for each level, while t_bar >= 1,
-    and accepts the first level where the minimum over RUNS_PER_LEVEL advice
-    runs clears the level; (3) if the budget trips, a run would blow past
-    MAX_RUN_SAMPLES, or the descent ends without acceptance, the exact count
-    is taken by reading the graph directly (off-oracle), and the report says
-    so. params defaults to the practical profile.
+    Stages: (1) the average-degree stage pins m_bar = n * d_bar / 2 and,
+    unless the caller installed one, a query budget of ceil(2 * m_bar);
+    (2) one descent visits t_bar = top / 2^level once for each level, while
+    t_bar >= 1, and accepts the first level where the minimum over
+    RUNS_PER_LEVEL advice runs clears the level; (3) if the budget trips, a
+    run would blow past MAX_RUN_SAMPLES, or the descent ends without
+    acceptance, the exact count is taken by reading the graph directly
+    (off-oracle), and the report says so. params defaults to the practical profile.
+
+    The descent starts at top = n^3 when m_bar is sampled. When the first
+    stage reads V, m_bar = m exactly and Rivin's bound t <= (sqrt(2)/3) *
+    m^(3/2), which is at most n^3 / 6, holds for the graph itself, so the
+    descent starts there; levels above it could only accept by a false
+    draw.
 
     The descent's cost is what it spends down to the first level at or below
     t, as in the analysis (Eden, Levi, Ron, Seshadhri, FOCS 2015). Each level
@@ -305,7 +352,8 @@ def estimate(
     reason = "descent_exhausted"
     if m_bar > 0:
         try:
-            top = float(n) ** 3
+            # With m_bar = m exactly, Rivin's bound caps t.
+            top = RIVIN * m_bar**1.5 if _feige_reads_v(n) else float(n) ** 3
             for level in range(int(top).bit_length()):
                 t_bar = top / 2.0**level
                 cache: dict[int, str] = {}

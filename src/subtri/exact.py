@@ -3,10 +3,10 @@
 Two independent counters are provided on purpose. count_brute enumerates id-
 ordered triples from edge neighborhood intersections on Python sets;
 count_ordered is one numpy kernel over the forward edges of the (degree, id)
-vertex order that finds each triangle at its order-minimal vertex. For each
-forward edge u -> w1 it walks the shorter of two rows, u's successors after
-w1 or w1's successors, and searches for the edge that closes a triangle with
-each walked vertex. Its work is the shorter row's length summed over forward
+order of the vertices with an edge that finds each triangle at its
+order-minimal vertex. For each forward edge u -> w1 it walks the shorter of
+two rows, u's successors after w1 or w1's successors, and searches for the
+edge that closes a triangle with each walked vertex. Its work is the shorter row's length summed over forward
 edges, not the C(d+(u), 2) forward wedges of each vertex u. Either walk
 closes the same triangles, so the choice moves no count. The probes run in
 fixed-size passes that share no state, on a thread pool when there are
@@ -150,6 +150,11 @@ def count_ordered(graph: Graph) -> TriangleStats:
     Probes run _WEDGE_CHUNK at a time, so memory stays bounded however
     many there are; arrays are freed once spent, for the same reason.
 
+    Only the vertices with degree > 0 are ranked, and the keys and rows
+    are over them alone, so past the n-sized rank and t_v, of which only
+    those vertices' entries are written, the work and memory follow m and
+    not n. An isolated vertex's t_v is 0.
+
     The passes read the shared arrays and write nothing shared: each
     returns the closed probes per position from its first one, and the
     calling thread adds those into hit_1 and hit_2. With two or more passes
@@ -174,37 +179,44 @@ def count_ordered(graph: Graph) -> TriangleStats:
 
 def _count_ordered(graph: Graph) -> TriangleStats:
     """count_ordered, with a MemoryError past the n-sized arrays raised as is."""
-    n, offsets, targets = graph.n, graph.offsets, graph.targets
+    n, offsets, targets, degrees = graph.n, graph.offsets, graph.targets, graph.degrees
     try:
         # The n-sized arrays, allocated together. Past the memory the graph's
         # own arrays left, n is too large, as Graph.from_edges reports it.
         rank = np.empty(n, dtype=np.int64)
-        # A stable sort by degree breaks degree ties by id.
-        rank[np.argsort(graph.degrees, kind="stable")] = np.arange(n, dtype=np.int64)
-        row_bounds = np.zeros(n + 1, dtype=np.int64)
+        t_v = np.zeros(n, dtype=np.int64)
+        # Only the vertices with an edge are ranked, and only their entries
+        # of rank and t_v are touched: an isolated vertex has no slot and
+        # is in no triangle. A stable sort by degree breaks degree ties by id.
+        live = np.flatnonzero(degrees)
+        live_degrees = degrees[live]
+        rank[live[np.argsort(live_degrees, kind="stable")]] = np.arange(live.size, dtype=np.int64)
     except MemoryError:
         raise ValueError(f"vertex count {n} needs more memory than is available") from None
+    # Keys and rows are over the ranked vertices only.
+    n_live = live.size
     # The slots' end ranks, 2m long each: past here a MemoryError names the edge count.
-    src_rank = np.repeat(rank, graph.degrees)
+    src_rank = np.repeat(rank[live], live_degrees)
+    del live_degrees
     tgt_rank = rank[targets]
     forward = tgt_rank > src_rank
     fwd = np.flatnonzero(forward)
     back = np.flatnonzero(~forward)
     del forward
-    fkey = src_rank[fwd] * n + tgt_rank[fwd]
+    fkey = src_rank[fwd] * n_live + tgt_rank[fwd]
     order = np.argsort(fkey)
     fwd, fkey = fwd[order], fkey[order]
     # Sorted by the key of its reversed edge, back[k] is the slot w -> u
     # opposite the forward slot fwd[k] = u -> w.
-    back = back[np.argsort(tgt_rank[back] * n + src_rank[back])]
+    back = back[np.argsort(tgt_rank[back] * n_live + src_rank[back])]
     del src_rank, tgt_rank, order
 
     # Vertex of rank r owns the forward positions row_bounds[r] to
-    # row_bounds[r + 1] - 1. add.at counts into the array allocated above,
-    # where a bincount would allocate another n-sized one.
+    # row_bounds[r + 1] - 1.
+    row_bounds = np.zeros(n_live + 1, dtype=np.int64)
     n_fwd = len(fkey)
-    u_rank = fkey // n
-    w_rank = fkey - u_rank * n
+    u_rank = fkey // n_live
+    w_rank = fkey - u_rank * n_live
     np.add.at(row_bounds, u_rank + 1, 1)
     np.cumsum(row_bounds, out=row_bounds)
     after = np.arange(1, n_fwd + 1, dtype=np.int64)
@@ -218,8 +230,8 @@ def _count_ordered(graph: Graph) -> TriangleStats:
     # row of w1 (u side) or of u (w1 side).
     np.copyto(walk_start, after, where=~on_w1)
     query_row = np.where(on_w1, u_rank, w_rank)
-    query_row *= n
-    del after, u_rank
+    query_row *= n_live
+    del after, u_rank, row_bounds
     # Its probes have the global ids probe_bounds[p] to probe_bounds[p + 1]
     # - 1, and probe k walks position k + shift[p].
     probe_bounds = np.zeros(n_fwd + 1, dtype=np.int64)
@@ -284,11 +296,7 @@ def _count_ordered(graph: Graph) -> TriangleStats:
     t_e_slots[back] = hit_1 + hit_2
     per_slot = np.zeros(len(targets) + 1, dtype=np.int64)
     np.cumsum(t_e_slots, out=per_slot[1:])
-    # Offsets are in range; mode="clip" only skips the buffered copy that
-    # take makes into out under the default mode.
-    np.take(per_slot, offsets, out=row_bounds, mode="clip")
-    # t_v takes over rank's buffer.
-    t_v = np.subtract(row_bounds[1:], row_bounds[:-1], out=rank)
+    t_v[live] = per_slot[offsets[live + 1]] - per_slot[offsets[live]]
     return TriangleStats(graph, int(hit_1.sum()), t_v, t_e_slots)
 
 

@@ -204,18 +204,67 @@ class TestVerdictCache:
         assert hits > 0
 
     def test_cache_fills_with_verdicts_and_is_shared(self):
-        g = complete_graph(8)
+        # At t_bar = 2^17, s1 = 189 < n = 200, so the runs draw S and
+        # classify the vertices of their hits.
+        g = gnp_graph(200, 0.3, seed=4)
         # Full-effort s2 so plenty of oriented hits trigger classification.
         params = EstimatorParams(heavy_params=HeavyParams.practical())
         cache = {}
         o = fresh_oracle(g, seed=0)
-        estimate_with_advice(o, 28.0, 56.0, 0.5, params=params, seed=0, verdict_cache=cache)
+        estimate_with_advice(o, float(g.m), 2.0**17, 0.5, params=params, seed=0, verdict_cache=cache)
+        assert o.stats.vertex_samples == 189
         assert cache
         assert set(cache.values()) <= {HEAVY, LIGHT}
         snapshot = dict(cache)
-        estimate_with_advice(o, 28.0, 56.0, 0.5, params=params, seed=1, verdict_cache=cache)
+        estimate_with_advice(o, float(g.m), 2.0**17, 0.5, params=params, seed=1, verdict_cache=cache)
         for v, verdict in snapshot.items():
             assert cache[v] == verdict
+
+
+class TestReadV:
+    """A stage that would draw at least n uniform vertices reads V instead."""
+
+    def test_covering_run_calls_no_classifier_and_draws_nothing(self):
+        # On K8 at t_bar = 56, s1 = 47 >= n = 8.
+        g = complete_graph(8)
+        classify = mock.Mock(side_effect=AssertionError("classifier called"))
+        cache = {}
+        o = fresh_oracle(g)
+        with mock.patch.object(estimator, "classify_batch", classify):
+            x = estimate_with_advice(o, 28.0, 56.0, 0.5, seed=0, verdict_cache=cache)
+        assert x > 0
+        assert o.stats.vertex_samples == 0
+        assert o.stats.degree == 8
+        assert cache == {}
+
+    def test_oversized_s1_that_covers_v_is_not_refused(self):
+        # s1 = 67 on K4 at t_bar = 1 passes a ceiling of 10, but the run
+        # reads the 4 vertices instead, and s2 = 5 fits under it.
+        o = fresh_oracle(complete_graph(4))
+        with mock.patch.object(estimator, "MAX_RUN_SAMPLES", 10):
+            assert estimate_with_advice(o, 6.0, 1.0, 0.5, seed=0) > 0
+        assert o.stats.vertex_samples == 0
+
+    def test_estimate_reads_exact_edge_count(self):
+        g = gnp_graph(200, 0.3, seed=4)
+        o = fresh_oracle(g)
+        report = estimate(o, 0.5, EstimatorParams.practical(), seed=0)
+        assert report.m_bar == g.m
+        assert o.budget_cap == 2 * g.m
+
+    def test_descent_starts_at_rivin_bound(self):
+        g = gnp_graph(200, 0.3, seed=4)
+        t_bars = []
+        advice = estimator.estimate_with_advice
+
+        def spy(oracle, m_bar, t_bar, *args, **kwargs):
+            t_bars.append(t_bar)
+            return advice(oracle, m_bar, t_bar, *args, **kwargs)
+
+        with mock.patch.object(estimator, "estimate_with_advice", spy):
+            estimate(fresh_oracle(g), 0.5, EstimatorParams.practical(), seed=0)
+        assert t_bars[0] == min(float(g.n) ** 3, math.sqrt(2.0) / 3.0 * g.m**1.5)
+        assert t_bars[0] < float(g.n) ** 3
 
 
 class TestBlockRescoring:
@@ -263,6 +312,31 @@ class TestBlockRescoring:
 
 
 class TestFeige:
+    @pytest.mark.parametrize("p, graph_seed", [(1e-3, 101), (1e-2, 202)])
+    def test_sampled_stage_brackets_the_edge_count(self, p, graph_seed):
+        # Criterion 10's graphs, with FEIGE_C cut so that the stage samples:
+        # 93 invocations of 100 degrees each draw 9300 < n = 10^4 vertices.
+        g = gnp_graph(10_000, p, seed=graph_seed)
+        hits = 0
+        with mock.patch.object(estimator, "FEIGE_C", 0.5):
+            for trial in range(50):
+                o = fresh_oracle(g, seed=trial)
+                m_bar = g.n * feige_avg_degree(o, seed=trial) / 2.0
+                assert o.stats.vertex_samples == 9300
+                hits += g.m / 6.0 <= m_bar <= 2.0 * g.m
+        assert hits >= 45
+
+    def test_covering_stage_reads_the_exact_mean(self):
+        g = gnp_graph(10_000, 1e-3, seed=101)
+        o = fresh_oracle(g)
+        assert feige_avg_degree(o, seed=0) == 2.0 * g.m / g.n
+        assert o.stats.vertex_samples == 0
+        assert o.stats.degree == g.n
+
+    def test_empty_graph_is_refused(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            feige_avg_degree(fresh_oracle(Graph.from_edges(0, [])), seed=0)
+
     def test_single_edge_graph_is_exact(self):
         o = fresh_oracle(Graph.from_edges(2, [(0, 1)]))
         assert feige_avg_degree(o, seed=0) == 1.0
@@ -362,8 +436,8 @@ class TestEstimateEndToEnd:
         assert statistics.median(charged) <= 0.7
 
     def test_hidden_clique_is_recovered_through_fallback(self):
-        # A 10-clique hidden among 4096 ids starves the sampler, so the
-        # search trips its budget and the exact fallback answers.
+        # A 10-clique hidden among 4096 ids has m = 45, so the search trips
+        # its 90-query budget and the exact fallback answers.
         in_band = 0
         fallbacks = 0
         for seed in range(20):

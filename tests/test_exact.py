@@ -9,6 +9,8 @@ import pytest
 from subtri.exact import count_brute, count_ordered, label_ground_truth
 from subtri.graph_store import Graph
 from subtri.heavy import BORDERLINE, HEAVY, LIGHT
+from subtri.lb_gen import gen_g2_matching
+from test_properties import wedge_reference
 from util import complete_graph, gnp_graph
 
 
@@ -130,6 +132,30 @@ class TestGroundTruthLabels:
             labels = label_ground_truth(stats, g, m_bar=g.m, t_bar=t, eps=0.5)
             heavy_count = sum(1 for lab in labels if lab == HEAVY)
             assert heavy_count <= 12.0 * (0.5 * t) ** (1.0 / 3.0)
+
+
+class TestIsolatedVertices:
+    def test_sparse_ids_match_brute_and_the_all_vertex_ranking(self):
+        # A K5 and a g2 panel (t = 160) on ids spread over 10^5, the first
+        # and last ids among them, so most ids, including ones between
+        # used ids, are isolated. count_ordered ranks only the 45 vertices
+        # with an edge; wedge_reference ranks all 10^5 of them.
+        n = 100_000
+        ids = np.random.default_rng(0).choice(np.arange(1, n - 1), size=43, replace=False)
+        ids = np.concatenate(([0, n - 1], ids))
+        k5 = [(ids[a], ids[b]) for a in range(5) for b in range(a + 1, 5)]
+        panel = [(ids[5 + u], ids[5 + w]) for u, w in gen_g2_matching(40, 10, seed=0).graph.edges()]
+        g = Graph.from_edges(n, k5 + panel)
+        stats = count_ordered(g)
+        brute = count_brute(g)
+        t, t_v, t_e_slots = wedge_reference(g)
+        assert stats.t == brute.t == t == 10 + 160
+        assert len(stats.t_v) == n
+        assert np.array_equal(stats.t_v, brute.t_v)
+        assert np.array_equal(stats.t_v, t_v)
+        assert not stats.t_v[g.degrees == 0].any()
+        assert np.array_equal(stats.t_e_slots, brute.t_e_slots)
+        assert np.array_equal(stats.t_e_slots, t_e_slots)
 
 
 class TestSerialization:

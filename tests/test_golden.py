@@ -91,6 +91,9 @@ ADVICE_CASES = [
     ("wheel", 99.0, 81.0, "practical", (3, 4)),
     ("skewed", 18000.0, 30000.0, "practical", (4, 5)),
     ("gnp", 6000.0, 30000.0, "practical", (6,)),
+    # s1 = 189 < n = 200 here, so these runs draw S and call the classifier;
+    # every case above has s1 >= n and reads V.
+    ("gnp", 6000.0, 131072.0, "practical", (7, 8)),
 ]
 
 
@@ -176,53 +179,53 @@ def run_exact_cli(tmp_path, capsys) -> dict:
 # stored by ascending neighbor id, with the classifier sampling through the
 # advice run's edge-probe kernel (thinned samples included), and with each
 # pair query charged the first time its pair is asked.
-GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 5825.125029546865,
+GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 8879.702996281021,
                           'queries': {'degree': 256,
-                                      'neighbor': 11066,
-                                      'pair': 3811,
-                                      'vertex_samples': 27302,
-                                      'total': 15133},
-                          'runs': 28,
-                          't_bar': 2048.0,
+                                      'neighbor': 4148,
+                                      'pair': 1643,
+                                      'vertex_samples': 822,
+                                      'total': 6047},
+                          'runs': 14,
+                          't_bar': 5461.333333333334,
                           'fallback_used': False,
                           'fallback_reason': None},
- ('skewed', None, 0): {'estimate': 31493.371969330772,
+ ('skewed', None, 0): {'estimate': 25966.571740601215,
                        'queries': {'degree': 2000,
-                                   'neighbor': 10596,
-                                   'pair': 2371,
-                                   'vertex_samples': 120295,
-                                   'total': 14967},
-                       'runs': 40,
-                       't_bar': 15258.7890625,
+                                   'neighbor': 5943,
+                                   'pair': 1046,
+                                   'vertex_samples': 9666,
+                                   'total': 8989},
+                       'runs': 14,
+                       't_bar': 18442.500996844465,
                        'fallback_used': False,
                        'fallback_reason': None},
- ('k40', None, 0): {'estimate': 9880.0,
+ ('k40', None, 0): {'estimate': 6937.894736842104,
                     'queries': {'degree': 40,
-                                'neighbor': 975,
-                                'pair': 585,
-                                'vertex_samples': 5044,
-                                'total': 1600},
+                                'neighbor': 182,
+                                'pair': 124,
+                                'vertex_samples': 0,
+                                'total': 346},
                     'runs': 6,
-                    't_bar': None,
-                    'fallback_used': True,
-                    'fallback_reason': 'budget'},
- ('gnp', None, 1): {'estimate': 31473.71213215189,
+                    't_bar': 2567.294295557095,
+                    'fallback_used': False,
+                    'fallback_reason': None},
+ ('gnp', None, 1): {'estimate': 32432.76467799898,
                     'queries': {'degree': 200,
-                                'neighbor': 5236,
-                                'pair': 2935,
-                                'vertex_samples': 18357,
-                                'total': 8371},
-                    'runs': 20,
-                    't_bar': 15625.0,
+                                'neighbor': 761,
+                                'pair': 352,
+                                'vertex_samples': 318,
+                                'total': 1313},
+                    'runs': 8,
+                    't_bar': 27591.780365717615,
                     'fallback_used': False,
                     'fallback_reason': None},
  ('clique-n3000', None, 1): {'estimate': 120.0,
                              'queries': {'degree': 3000,
-                                         'neighbor': 48,
-                                         'pair': 26,
-                                         'vertex_samples': 103620,
-                                         'total': 3074},
-                             'runs': 28,
+                                         'neighbor': 67,
+                                         'pair': 23,
+                                         'vertex_samples': 0,
+                                         'total': 3090},
+                             'runs': 1,
                              't_bar': None,
                              'fallback_used': True,
                              'fallback_reason': 'budget'},
@@ -230,9 +233,9 @@ GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 5825.125029546865,
                                 'queries': {'degree': 12,
                                             'neighbor': 57,
                                             'pair': 15,
-                                            'vertex_samples': 2968,
+                                            'vertex_samples': 0,
                                             'total': 84},
-                                'runs': 16,
+                                'runs': 8,
                                 't_bar': None,
                                 'fallback_used': True,
                                 'fallback_reason': 'budget'},
@@ -240,173 +243,103 @@ GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 5825.125029546865,
                                    'queries': {'degree': 12,
                                                'neighbor': 72,
                                                'pair': 15,
-                                               'vertex_samples': 4052,
+                                               'vertex_samples': 0,
                                                'total': 99},
-                                   'runs': 22,
+                                   'runs': 14,
                                    't_bar': None,
                                    'fallback_used': True,
                                    'fallback_reason': 'descent_exhausted'},
  ('skewed', 3000, 3): {'estimate': 33741.0,
                        'queries': {'degree': 2000,
-                                   'neighbor': 2550,
-                                   'pair': 450,
-                                   'vertex_samples': 97728,
+                                   'neighbor': 2578,
+                                   'pair': 422,
+                                   'vertex_samples': 9666,
                                    'total': 5000},
-                       'runs': 34,
+                       'runs': 10,
                        't_bar': None,
                        'fallback_used': True,
                        'fallback_reason': 'budget'},
  ('gnp', 40, 1): {'estimate': 36421.0,
                   'queries': {'degree': 200,
-                              'neighbor': 39,
-                              'pair': 1,
-                              'vertex_samples': 15047,
+                              'neighbor': 34,
+                              'pair': 6,
+                              'vertex_samples': 159,
                               'total': 240},
                   'runs': 0,
                   't_bar': None,
                   'fallback_used': True,
                   'fallback_reason': 'budget'}}
-GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [222.1639344262295],
+GOLDEN_ADVICE = {('k12', 66.0, 880.0, 'theoretical', (0,)): {'values': [218.19672131147536],
                                              'stats': {'degree': 12,
-                                                       'neighbor': 132,
-                                                       'pair': 65,
-                                                       'vertex_samples': 32,
-                                                       'total': 209},
+                                                       'neighbor': 81,
+                                                       'pair': 44,
+                                                       'vertex_samples': 0,
+                                                       'total': 137},
                                              'heavy': [],
-                                             'light': [0,
-                                                       1,
-                                                       2,
-                                                       3,
-                                                       4,
-                                                       5,
-                                                       6,
-                                                       7,
-                                                       8,
-                                                       9,
-                                                       10,
-                                                       11]},
- ('k40', 780.0, 16000.0, 'practical', (1, 2)): {'values': [6760.0, 20280.0],
+                                             'light': []},
+ ('k40', 780.0, 16000.0, 'practical', (1, 2)): {'values': [13520.0, 6760.0],
                                                 'stats': {'degree': 40,
-                                                          'neighbor': 460,
-                                                          'pair': 322,
-                                                          'vertex_samples': 112,
-                                                          'total': 822},
-                                                'heavy': [21, 24, 26],
-                                                'light': [4,
-                                                          7,
-                                                          9,
-                                                          17,
-                                                          27,
-                                                          31,
-                                                          36]},
- ('wheel', 99.0, 81.0, 'practical', (3, 4)): {'values': [85.3952205882353,
-                                                         60.42279411764706],
+                                                          'neighbor': 18,
+                                                          'pair': 12,
+                                                          'vertex_samples': 0,
+                                                          'total': 70},
+                                                'heavy': [],
+                                                'light': []},
+ ('wheel', 99.0, 81.0, 'practical', (3, 4)): {'values': [77.6470588235294,
+                                                         77.6470588235294],
                                               'stats': {'degree': 19,
-                                                        'neighbor': 180,
-                                                        'pair': 54,
-                                                        'vertex_samples': 256,
-                                                        'total': 253},
-                                              'heavy': [13, 18],
-                                              'light': [0,
-                                                        1,
-                                                        3,
-                                                        4,
-                                                        6,
-                                                        7,
-                                                        9,
-                                                        11,
-                                                        12,
-                                                        15,
-                                                        16,
-                                                        17]},
- ('skewed', 18000.0, 30000.0, 'practical', (4, 5)): {'values': [37748.80700555674,
-                                                                22016.171988094266],
-                                                     'stats': {'degree': 1991,
-                                                               'neighbor': 3034,
-                                                               'pair': 679,
-                                                               'vertex_samples': 8542,
-                                                               'total': 5704},
-                                                     'heavy': [1,
-                                                               4,
-                                                               7,
-                                                               16,
-                                                               45,
-                                                               47,
-                                                               57],
-                                                     'light': [0,
-                                                               2,
-                                                               3,
-                                                               5,
-                                                               6,
-                                                               8,
-                                                               9,
-                                                               11,
-                                                               13,
-                                                               14,
-                                                               15,
-                                                               17,
-                                                               18,
-                                                               20,
-                                                               21,
-                                                               24,
-                                                               26,
-                                                               31,
-                                                               37,
-                                                               44,
-                                                               50,
-                                                               53,
-                                                               60,
-                                                               69,
-                                                               74,
-                                                               75,
-                                                               85,
-                                                               86,
-                                                               88,
-                                                               99,
-                                                               119,
-                                                               147,
-                                                               148,
-                                                               183,
-                                                               223,
-                                                               248,
-                                                               329,
-                                                               337,
-                                                               397,
-                                                               450,
-                                                               484,
-                                                               669,
-                                                               730,
-                                                               966,
-                                                               973,
-                                                               1614,
-                                                               1694]},
- ('gnp', 6000.0, 30000.0, 'practical', (6,)): {'values': [26818.30576336394],
-                                               'stats': {'degree': 196,
-                                                         'neighbor': 925,
-                                                         'pair': 457,
-                                                         'vertex_samples': 309,
-                                                         'total': 1578},
-                                               'heavy': [21, 60, 74, 90],
-                                               'light': [11,
-                                                         22,
-                                                         23,
-                                                         29,
-                                                         30,
-                                                         53,
-                                                         55,
-                                                         75,
-                                                         82,
-                                                         85,
-                                                         89,
-                                                         100,
-                                                         115,
-                                                         117,
-                                                         130,
-                                                         144,
-                                                         150,
-                                                         154,
-                                                         155,
-                                                         185]}}
+                                                        'neighbor': 73,
+                                                        'pair': 42,
+                                                        'vertex_samples': 0,
+                                                        'total': 134},
+                                              'heavy': [],
+                                              'light': []},
+ ('skewed', 18000.0, 30000.0, 'practical', (4, 5)): {'values': [45446.2621248701,
+                                                                37020.318693184665],
+                                                     'stats': {'degree': 2000,
+                                                               'neighbor': 1748,
+                                                               'pair': 302,
+                                                               'vertex_samples': 0,
+                                                               'total': 4050},
+                                                     'heavy': [],
+                                                     'light': []},
+ ('gnp', 6000.0, 30000.0, 'practical', (6,)): {'values': [22241.99007393402],
+                                               'stats': {'degree': 200,
+                                                         'neighbor': 118,
+                                                         'pair': 48,
+                                                         'vertex_samples': 0,
+                                                         'total': 366},
+                                               'heavy': [],
+                                               'light': []},
+ ('gnp', 6000.0, 131072.0, 'practical', (7, 8)): {'values': [19448.592297158844,
+                                                             115933.35069401302],
+                                                  'stats': {'degree': 200,
+                                                            'neighbor': 743,
+                                                            'pair': 384,
+                                                            'vertex_samples': 378,
+                                                            'total': 1327},
+                                                  'heavy': [],
+                                                  'light': [38,
+                                                            41,
+                                                            44,
+                                                            63,
+                                                            69,
+                                                            78,
+                                                            81,
+                                                            83,
+                                                            92,
+                                                            95,
+                                                            100,
+                                                            139,
+                                                            141,
+                                                            159,
+                                                            160,
+                                                            161,
+                                                            166,
+                                                            179,
+                                                            182,
+                                                            187,
+                                                            198]}}
 GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
                                 'medians': [80.04098360655738,
                                             78.56557377049181,
@@ -443,9 +376,9 @@ GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
                                                236.25198411865244,
                                                472.5039682373049],
                                    'queries_used': 140}}
-GOLDEN_CLI = {'estimate-json': '851b758353412b3021c097e5ad91a68ea02a359175e1ec33e673dc4230197888',
- 'estimate-plain': 'cc90306f2bf09aa709da1578e037aaa4e53100080110f031cf50a725124f2dbe',
- 'bench-csv': 'a6fb8aacbfd0c834489a17b2ead31dde6d8795e0e96f424ca16c85135cbe5c4a'}
+GOLDEN_CLI = {'estimate-json': '64386f2deabac4f07591bed57b7b40ed7d851ae6f8268b1e5fc7c1bff2dec2f4',
+ 'estimate-plain': '92aa6bd9845c2c46f8a8debe3ad8f5964f5348016f244c1b250ba0e4246ad548',
+ 'bench-csv': '9df06b7b81325bb2fb05fb9137a56f07951896b89bf9ceddc4d0932522b4bb52'}
 
 # Recorded from the revision before the vectorized exact counter.
 GOLDEN_EXACT_CLI = {
