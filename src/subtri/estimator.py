@@ -15,7 +15,8 @@ distinct degree queries an estimate pays anyway. The average-degree stage
 then returns the exact mean, so m_bar = m and the descent starts at Rivin's
 bound top = (sqrt(2)/3) * m^(3/2) instead of n^3. An advice run that reads
 V samples exactly uniform edges and calls no classifier (Assadi, Kapralov
-and Khanna, ITCS 2019, count from uniform edges without one).
+and Khanna, ITCS 2019, count from uniform edges without one); the runs of
+one estimate that read V share one degree-weighted sampler over it.
 """
 
 from __future__ import annotations
@@ -99,15 +100,27 @@ class EstimatorParams:
 class DegreeWeightedSampler:
     """Draw vertices from a fixed multiset with probability proportional to degree.
 
-    Degrees are fetched once through the oracle (batched); draws are exact:
-    a uniform position below the total degree, then the first prefix sum of
-    the multiset's degree sequence above it, found by searchsorted. A
-    zero-degree member adds nothing to the prefix sums, so it is never drawn.
+    The members' degrees are read through the oracle in one batch when the
+    sampler is built; draws are exact: a uniform position below the total
+    degree, then the first prefix sum of the multiset's degree sequence
+    above it, found by searchsorted. A zero-degree member adds nothing to
+    the prefix sums, so it is never drawn.
+
+    Built without vertices, the sampler is over V: it reads all n degrees
+    and keeps the vertices of degree > 0 only, which draws the same vertices
+    from the same Generator as a sampler over arange(n), with prefix sums
+    only as long as the non-isolated vertices. estimate builds one such
+    sampler per estimate and shares it among the advice runs that read V.
     """
 
-    def __init__(self, oracle: QueryOracle, vertices: np.ndarray):
-        self.vertices = np.asarray(vertices, dtype=np.int64)
-        self.degrees = oracle.q_degree_batch(self.vertices)
+    def __init__(self, oracle: QueryOracle, vertices: np.ndarray | None = None):
+        if vertices is None:
+            degrees = oracle.q_degree_batch(np.arange(oracle.n, dtype=np.int64))
+            self.vertices = np.flatnonzero(degrees)
+            self.degrees = degrees[self.vertices]
+        else:
+            self.vertices = np.asarray(vertices, dtype=np.int64)
+            self.degrees = oracle.q_degree_batch(self.vertices)
         self._cum = np.cumsum(self.degrees, dtype=np.int64)
         self.total_degree = int(self._cum[-1]) if len(self.vertices) else 0
 
@@ -132,6 +145,7 @@ def estimate_with_advice(
     params: EstimatorParams | None = None,
     seed=None,
     verdict_cache: dict[int, str] | None = None,
+    v_sampler: DegreeWeightedSampler | None = None,
 ) -> float:
     """One advice-driven estimate X of the triangle count.
 
@@ -146,7 +160,10 @@ def estimate_with_advice(
     When s1 >= n the run reads V instead of drawing: S = V and s1 = n, so
     every edge sample is exactly uniform and no vertex draw is counted. Such
     a run calls no classifier; a vertex scores by its verdict_cache entry,
-    LIGHT when it has none, so injected verdicts still count.
+    LIGHT when it has none, so injected verdicts still count. It draws from
+    v_sampler, a DegreeWeightedSampler over V that estimate builds once and
+    shares among its runs, or from one it builds itself when none is
+    passed; the two draw alike. A run that draws S ignores v_sampler.
     MAX_RUN_SAMPLES bounds min(s1, n) and s2.
 
     The edge sampling, thinning and probing is heavy.edge_hits, the kernel
@@ -166,10 +183,10 @@ def estimate_with_advice(
     pairs and the closers' degrees), then, in a run that draws S, one
     classify_batch call for every vertex of the block's hits that
     verdict_cache lacks, and scores the hits from verdict_cache. The set of
-    queries a run asks is fixed by its draws and the verdicts, and the oracle charges each distinct question
-    once, by its own kind, so neither the estimate nor the charged count
-    depends on that order; the order decides only which query meets a
-    budget trip.
+    queries a run asks is fixed by its draws and the verdicts, and the
+    oracle charges each distinct question once, by its own kind, so neither
+    the estimate nor the charged count depends on that order; the order
+    decides only which query meets a budget trip.
     """
     check_advice(m_bar, t_bar, eps)
     if params is None:
@@ -189,8 +206,10 @@ def estimate_with_advice(
             f"run wants s1={s1} and s2={s2} samples, over the {MAX_RUN_SAMPLES} "
             "ceiling; loosen eps or use practical-profile parameters"
         )
-    sample = np.arange(n, dtype=np.int64) if read_v else oracle.sample_vertices(s1, np_rng)
-    sampler = DegreeWeightedSampler(oracle, sample)
+    if read_v:
+        sampler = v_sampler if v_sampler is not None else DegreeWeightedSampler(oracle)
+    else:
+        sampler = DegreeWeightedSampler(oracle, oracle.sample_vertices(s1, np_rng))
     if sampler.total_degree == 0:
         return 0.0
 
@@ -306,13 +325,17 @@ def estimate(
     RUNS_PER_LEVEL advice runs clears the level; (3) if the budget trips, a
     run would blow past MAX_RUN_SAMPLES, or the descent ends without
     acceptance, the exact count is taken by reading the graph directly
-    (off-oracle), and the report says so. params defaults to the practical profile.
+    (off-oracle), and the report says so. params defaults to the practical
+    profile.
 
     The descent starts at top = n^3 when m_bar is sampled. When the first
     stage reads V, m_bar = m exactly and Rivin's bound t <= (sqrt(2)/3) *
     m^(3/2), which is at most n^3 / 6, holds for the graph itself, so the
     descent starts there; levels above it could only accept by a false
-    draw.
+    draw. In that case estimate also builds one DegreeWeightedSampler over
+    V before the descent and passes it to every run. A run that reads V
+    draws from it, so an estimate reads V's degrees twice, in the first
+    stage and for the sampler, however many of its runs read V.
 
     The descent's cost is what it spends down to the first level at or below
     t, as in the analysis (Eden, Levi, Ron, Seshadhri, FOCS 2015). Each level
@@ -351,9 +374,12 @@ def estimate(
     accepted_level: float | None = None
     reason = "descent_exhausted"
     if m_bar > 0:
+        reads_v = _feige_reads_v(n)
+        # The runs that read V share one sampler over it.
+        v_sampler = DegreeWeightedSampler(oracle) if reads_v else None
         try:
             # With m_bar = m exactly, Rivin's bound caps t.
-            top = RIVIN * m_bar**1.5 if _feige_reads_v(n) else float(n) ** 3
+            top = RIVIN * m_bar**1.5 if reads_v else float(n) ** 3
             for level in range(int(top).bit_length()):
                 t_bar = top / 2.0**level
                 cache: dict[int, str] = {}
@@ -363,7 +389,7 @@ def estimate(
                     xs.append(
                         estimate_with_advice(
                             oracle, m_bar, t_bar, eps_eff, params,
-                            seed=run_ss, verdict_cache=cache,
+                            seed=run_ss, verdict_cache=cache, v_sampler=v_sampler,
                         )
                     )
                     runs += 1

@@ -25,7 +25,7 @@ from subtri.heavy import HEAVY, LIGHT, HeavyParams, ceil_div_by_sqrt
 from subtri.lb_gen import gen_clique_family, gen_g1_bipartite, gen_g2_matching
 from subtri.query_oracle import QueryOracle
 from test_acceptance import _expected_advice_estimate
-from util import bowtie_graph, complete_graph, gnp_graph
+from util import bowtie_graph, complete_graph, gnp_edges, gnp_graph
 
 
 def fresh_oracle(graph, seed=0, budget=None) -> QueryOracle:
@@ -265,6 +265,65 @@ class TestReadV:
             estimate(fresh_oracle(g), 0.5, EstimatorParams.practical(), seed=0)
         assert t_bars[0] == min(float(g.n) ** 3, math.sqrt(2.0) / 3.0 * g.m**1.5)
         assert t_bars[0] < float(g.n) ** 3
+
+    def test_estimate_reads_v_once_for_all_its_runs(self):
+        # Every run on a 100-clique among 10^4 ids reads V (s1 >= n at each
+        # level below Rivin's bound). The runs share one sampler over V, so
+        # the estimate asks two degree batches of n ids, the first stage's
+        # and the sampler's, however many runs it makes.
+        g = gen_clique_family(10**4, 10**6, seed=0).graph
+        built, n_id_batches, passed = [], [], []
+        init, batch, advice = (
+            DegreeWeightedSampler.__init__, QueryOracle.q_degree_batch, estimator.estimate_with_advice
+        )
+
+        def spy_init(self, oracle, *args):
+            built.append(self)
+            init(self, oracle, *args)
+
+        def spy_batch(self, vs):
+            n_id_batches.append(np.size(vs) == self.n)
+            return batch(self, vs)
+
+        def spy_advice(*args, **kwargs):
+            passed.append(kwargs.get("v_sampler"))
+            return advice(*args, **kwargs)
+
+        o = fresh_oracle(g)
+        with mock.patch.object(DegreeWeightedSampler, "__init__", spy_init), \
+                mock.patch.object(QueryOracle, "q_degree_batch", spy_batch), \
+                mock.patch.object(estimator, "estimate_with_advice", spy_advice):
+            report = estimate(o, 0.5, EstimatorParams.practical(), seed=0)
+        assert report.runs >= RUNS_PER_LEVEL
+        assert o.stats.vertex_samples == 0
+        assert len(built) == 1
+        assert sum(n_id_batches) == 2
+        assert len(passed) == report.runs
+        assert all(sampler is built[0] for sampler in passed)
+        assert o.stats.degree == g.n
+
+    @pytest.mark.parametrize("t_bar", [30.0, 3000.0])
+    def test_shared_sampler_run_equals_a_run_that_builds_its_own(self, t_bar):
+        # G(60, 0.3) on ids 1-60 of 64, so ids 0 and 61-63 are isolated.
+        # Both t_bar read V (s1 >= n = 64); the cache holds injected verdicts.
+        edges = [(u + 1, v + 1) for u, v in gnp_edges(60, 0.3, seed=2).tolist()]
+        g = Graph.from_edges(64, edges)
+        assert g.degree(0) == g.degree(63) == 0
+        outcomes = []
+        for shared in (False, True):
+            o = fresh_oracle(g, seed=5)
+            cache = {v: HEAVY for v in range(1, 61, 7)}
+            sampler = DegreeWeightedSampler(o) if shared else None
+            xs = [
+                estimate_with_advice(
+                    o, float(g.m), t_bar, 0.5, seed=seed, verdict_cache=cache, v_sampler=sampler
+                )
+                for seed in (0, 1)
+            ]
+            outcomes.append((xs, o.stats.to_dict(), cache))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1]["vertex_samples"] == 0
+        assert outcomes[0][0][0] > 0
 
 
 class TestBlockRescoring:

@@ -188,6 +188,37 @@ class TestDegreeWeightedDraws:
         assert degs.tolist() == [g.degree(v) for v in want]
         assert all(d > 0 for d in degs.tolist())
 
+    @given(
+        st.lists(st.one_of(st.just(0), st.integers(1, 10**9)), min_size=2, max_size=40),
+        st.integers(0, 2**32),
+        st.integers(0, 64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_non_isolated_members_draw_as_all_of_v(self, degrees, seed, k):
+        # A zero-degree member never moves a draw, so the sampler over the
+        # vertices of degree > 0, the one estimate builds over V, and one
+        # over arange(n) return the same draws from equal Generators.
+        assume(0 in degrees and any(degrees))
+        oracle = _DegreeVector(degrees)
+        over_n = DegreeWeightedSampler(oracle, np.arange(len(degrees)))
+        for sampler in (DegreeWeightedSampler(oracle, np.flatnonzero(degrees)),
+                        DegreeWeightedSampler(oracle)):
+            assert sampler.total_degree == over_n.total_degree == sum(degrees)
+            got = sampler.draw(np.random.default_rng(seed), k)
+            want = over_n.draw(np.random.default_rng(seed), k)
+            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+class _DegreeVector:
+    """Answers degree queries from a fixed vector, graphical or not."""
+
+    def __init__(self, degrees):
+        self.n = len(degrees)
+        self._degrees = np.array(degrees, dtype=np.int64)
+
+    def q_degree_batch(self, vs):
+        return self._degrees[np.asarray(vs, dtype=np.int64)]
+
 
 @st.composite
 def batch_cases(draw):
