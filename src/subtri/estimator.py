@@ -16,7 +16,9 @@ then returns the exact mean, so m_bar = m and the descent starts at Rivin's
 bound top = (sqrt(2)/3) * m^(3/2) instead of n^3. An advice run that reads
 V samples exactly uniform edges and calls no classifier (Assadi, Kapralov
 and Khanna, ITCS 2019, count from uniform edges without one); the runs of
-one estimate that read V share one degree-weighted sampler over it.
+one estimate that read V share one degree-weighted sampler over it. Both
+places read V through QueryOracle.q_degree_all, which charges the n degree
+queries once and returns the graph's degree array without a sort or a copy.
 """
 
 from __future__ import annotations
@@ -107,15 +109,17 @@ class DegreeWeightedSampler:
     the prefix sums, so it is never drawn.
 
     Built without vertices, the sampler is over V: it reads all n degrees
-    and keeps the vertices of degree > 0 only, which draws the same vertices
-    from the same Generator as a sampler over arange(n), with prefix sums
-    only as long as the non-isolated vertices. estimate builds one such
-    sampler per estimate and shares it among the advice runs that read V.
+    with one q_degree_all, which charges nothing when the average-degree
+    stage has read V already, and keeps the vertices of degree > 0 only.
+    That draws the same vertices from the same Generator as a sampler over
+    arange(n), with prefix sums only as long as the non-isolated vertices.
+    estimate builds one such sampler per estimate and shares it among the
+    advice runs that read V.
     """
 
     def __init__(self, oracle: QueryOracle, vertices: np.ndarray | None = None):
         if vertices is None:
-            degrees = oracle.q_degree_batch(np.arange(oracle.n, dtype=np.int64))
+            degrees = oracle.q_degree_all()
             self.vertices = np.flatnonzero(degrees)
             self.degrees = degrees[self.vertices]
         else:
@@ -256,15 +260,15 @@ def feige_avg_degree(oracle: QueryOracle, seed=None) -> float:
     invocation, amplified by the median.
 
     When the invocations would draw at least n vertices in all (every n up
-    to about 1.05e7), the stage reads V instead: it returns the mean of all n
-    degrees, which is exact, and draws nothing. An empty graph is a
-    ValueError.
+    to about 1.05e7), the stage reads V instead: one q_degree_all charges
+    the n degree queries, and the stage returns the mean of all n degrees,
+    which is exact, and draws nothing. An empty graph is a ValueError.
     """
     n = oracle.n
     if n == 0:
         raise ValueError("an average degree needs at least one vertex")
     if _feige_reads_v(n):
-        return float(oracle.q_degree_batch(np.arange(n, dtype=np.int64)).mean())
+        return float(oracle.q_degree_all().mean())
     np_rng = np.random.default_rng(seed)
     reps, k = _feige_sizes(n)
     means = []
@@ -334,8 +338,9 @@ def estimate(
     descent starts there; levels above it could only accept by a false
     draw. In that case estimate also builds one DegreeWeightedSampler over
     V before the descent and passes it to every run. A run that reads V
-    draws from it, so an estimate reads V's degrees twice, in the first
-    stage and for the sampler, however many of its runs read V.
+    draws from it. The first stage's q_degree_all charges the n degree
+    queries in one pass with no sort and the sampler's charges nothing, so
+    an estimate reads V once however many of its runs read V.
 
     The descent's cost is what it spends down to the first level at or below
     t, as in the analysis (Eden, Levi, Ron, Seshadhri, FOCS 2015). Each level

@@ -87,13 +87,16 @@ class QueryOracle:
     Each kind of query has one implementation, a batch kernel:
     q_degree_batch, q_neighbor_batch and q_pair_batch. q_degree, q_neighbor
     and q_pair are the kernel on one item; only q_neighbor's ABSENT answer,
-    an index past the degree, is charged outside it. A batch charges its
-    fresh distinct items in order of first occurrence, as the one-item calls
-    in array order would, and a trip leaves neighbor + pair == cap. Vertex
-    ids and neighbor indices must be integers; a float is refused with a
-    ValueError before anything is charged, not truncated. Draws come from
-    numpy Generators only: sample_vertices and q_random_edge_at use the
-    caller's Generator or the oracle's own, np.random.default_rng(seed).
+    an index past the degree, is charged outside it. The V read is
+    q_degree_all: every degree, charged as q_degree_batch(arange(n)) would
+    charge, in one pass over the degree bitmap with no sort. A batch
+    charges its fresh distinct items in order of first occurrence, as the
+    one-item calls in array order would, and a trip leaves neighbor + pair
+    == cap. Vertex ids and neighbor indices must be integers; a float is
+    refused with a ValueError before anything is charged, not truncated.
+    Draws come from numpy Generators only: sample_vertices and
+    q_random_edge_at use the caller's Generator or the oracle's own,
+    np.random.default_rng(seed).
     """
 
     def __init__(self, graph: Graph, seed: int | None = None, budget: int | None = None):
@@ -165,6 +168,17 @@ class QueryOracle:
                 self._deg_seen[fresh] = True
                 self._deg_count += fresh.size
         return self.graph.degrees[vs]
+
+    def q_degree_all(self) -> np.ndarray:
+        """The degree of every vertex: the V read. Charges each vertex's
+        degree query not yet charged, as q_degree_batch(arange(n)) would, by
+        setting the whole degree bitmap, so stats.degree becomes n; once all
+        n are charged it charges nothing. No sort and no copy: the answer is
+        the graph's own read-only degree array."""
+        if self._deg_count < self.n:
+            self._deg_seen.fill(True)
+            self._deg_count = self.n
+        return self.graph.degrees
 
     def q_neighbor(self, v: int, i: int):
         """The i-th neighbor of v (1-indexed), or ABSENT when i exceeds the

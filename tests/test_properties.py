@@ -157,6 +157,25 @@ class TestOracleMetering:
                 asked.update(vs)
             assert oracle.stats.degree == len(asked)
 
+    @given(graph_and_queries(), st.integers(0, 60), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_degree_all_charges_as_a_batch_of_every_vertex(self, case, at, reads):
+        # The V read, put anywhere among the queries and asked once or more,
+        # leaves the answers, stats and charge of q_degree_batch(arange(n))
+        # in its place.
+        g, queries = case
+        got, want = QueryOracle(g, seed=0), QueryOracle(g, seed=0)
+        for k, q in enumerate(queries + [None]):
+            if k == at:
+                for _ in range(reads):
+                    degrees = got.q_degree_all()
+                    assert degrees.tolist() == want.q_degree_batch(np.arange(g.n)).tolist()
+                    assert got.stats == want.stats
+            if q is not None:
+                assert ask(got, q) == ask(want, q)
+            assert got.stats == want.stats
+            assert got.budget_charged == want.budget_charged
+
 
 @st.composite
 def weighted_multisets(draw):
@@ -218,6 +237,9 @@ class _DegreeVector:
 
     def q_degree_batch(self, vs):
         return self._degrees[np.asarray(vs, dtype=np.int64)]
+
+    def q_degree_all(self):
+        return self._degrees
 
 
 @st.composite

@@ -125,6 +125,56 @@ class TestDistinctCounting:
         assert s.pair == g.n * (g.n - 1) // 2
 
 
+class TestDegreeAll:
+    """q_degree_all, the V read: every degree, each charged once."""
+
+    def test_charges_n_once(self):
+        g = gnp_graph(30, 0.2, seed=1)
+        o = QueryOracle(g, seed=0)
+        o.q_degree_all()
+        assert o.stats.degree == g.n
+        stats = o.stats
+        o.q_degree_all()
+        assert o.stats == stats
+
+    def test_charges_as_a_batch_of_every_vertex(self):
+        # Degree batches before and after it leave the stats that
+        # q_degree_batch(arange(n)) in its place leaves.
+        g = gnp_graph(30, 0.2, seed=1)
+
+        def stats_after(read_v):
+            o = QueryOracle(g, seed=0)
+            o.q_degree_batch([3, 3, 7, 0])
+            read_v(o)
+            o.q_degree_batch([29, 3, 12])
+            return o.stats
+
+        got = stats_after(QueryOracle.q_degree_all)
+        assert got == stats_after(lambda o: o.q_degree_batch(np.arange(g.n)))
+        assert got.degree == g.n
+
+    def test_budget_charged_does_not_move(self):
+        # The cap is spent, and the V read neither trips it nor adds to it.
+        o = triangle_oracle(budget=1)
+        o.q_neighbor(0, 1)
+        o.q_degree_all()
+        assert o.budget_charged == 1
+        assert o.stats.degree == 3
+
+    def test_returns_the_read_only_graph_degrees(self):
+        g = gnp_graph(30, 0.2, seed=1)
+        degrees = QueryOracle(g, seed=0).q_degree_all()
+        assert np.array_equal(degrees, g.degrees)
+        assert not degrees.flags.writeable
+        with pytest.raises(ValueError):
+            degrees[0] = 0
+
+    def test_empty_graph_reads_nothing(self):
+        o = QueryOracle(Graph.from_edges(0, []), seed=0)
+        assert o.q_degree_all().size == 0
+        assert o.stats.degree == 0
+
+
 class TestAnswerSoundness:
     def test_answers_match_raw_graph(self):
         # Plain-int and numpy ids alike get Python ints and bools back.
