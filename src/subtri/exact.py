@@ -6,29 +6,35 @@ count_ordered is one numpy kernel over the forward edges of the (degree, id)
 order of the vertices with an edge that finds each triangle at its
 order-minimal vertex. For each forward edge u -> w1 it walks the shorter of
 two rows, u's successors after w1 or w1's successors, and searches for the
-edge that closes a triangle with each walked vertex. Its work is the shorter row's length summed over forward
-edges, not the C(d+(u), 2) forward wedges of each vertex u. Either walk
-closes the same triangles, so the choice moves no count. The probes run in
-fixed-size passes that share no state, on a thread pool when there are
-several passes and CPUs (numpy releases the interpreter lock inside them);
-each pass returns integer counts that the calling thread adds up, so the
-result does not depend on the threads. Tests play the two counters against
-each other, so they must not share counting logic.
+edge that closes a triangle with each walked vertex. Its work is the shorter
+row's length summed over forward edges, not the C(d+(u), 2) forward wedges
+of each vertex u. Either walk closes the same triangles, so the choice moves
+no count. The probes run in fixed-size passes that share no state, on a
+thread pool when there are several passes and CPUs (numpy releases the
+interpreter lock inside them); each pass returns integer counts that the
+calling thread adds up, so the result does not depend on the threads. Tests
+play the two counters against each other, so they must not share counting
+logic.
 
 Both produce the same decomposition: t_v[v] is the number of triangles
 containing v, and t_e[(v, x)] counts the triangles through v that are charged
 to the directed edge (v, x), where x is the order-smaller of the two partner
 vertices. Summing t_e over v's edges gives t_v; summing t_v gives 3t.
 TriangleStats keeps t_e as one count per CSR slot, aligned with
-graph.targets; the (v, x) mapping is built from it on first access.
+graph.targets, and the (v, x) mapping is built from it on first access.
+count_ordered computes t and t_v from its closed probes per forward edge and
+maps those to CSR slots only when t_e_slots is first read, so the callers
+that need only t or t_v (the estimate's fallback, `subtri exact`, the
+generators) never pay for the per-slot split.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -58,14 +64,21 @@ def _cpu_count() -> int:
 class TriangleStats:
     """Triangle count with its per-vertex and per-directed-edge split.
 
-    t_e_slots[s] is the t_e count of the directed edge stored at CSR slot s,
-    from the slot's vertex to graph.targets[s].
+    t and t_v are the counter's own results. t_e_slots[s] is the t_e count
+    of the directed edge stored at CSR slot s, from the slot's vertex to
+    graph.targets[s]. It is built by calling build_t_e_slots on first
+    access, once, and kept; t_e and to_json_dict read it, so only they pay
+    for it. count_brute passes a builder that returns its own array.
     """
 
     graph: Graph = field(repr=False)
     t: int
     t_v: np.ndarray
-    t_e_slots: np.ndarray
+    build_t_e_slots: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def t_e_slots(self) -> np.ndarray:
+        return self.build_t_e_slots()
 
     def _nonzero_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(v, x, count) arrays over the slots with a nonzero count."""
@@ -123,7 +136,7 @@ def count_brute(graph: Graph) -> TriangleStats:
                     dx, dw = degrees[x], degrees[w]
                     p = x if (dx < dw or (dx == dw and x < w)) else w
                     t_e_slots[slot_of[v][p]] += 1
-    return TriangleStats(graph, t, t_v, t_e_slots)
+    return TriangleStats(graph, t, t_v, lambda: t_e_slots)
 
 
 def count_ordered(graph: Graph) -> TriangleStats:
@@ -144,11 +157,21 @@ def count_ordered(graph: Graph) -> TriangleStats:
     row, and the w1 side otherwise. Both sides close exactly the triangles
     u < w1 < w2 on the edge u -> w1, so the side changes the work, the sum
     over p of min(later_p, out_p) probes instead of the sum over u of
-    C(d+(u), 2) wedges, and not the result. A closed probe charges the
-    slots u -> w1 (hit_1), w1 -> u, and w2 -> u (hit_2 at the position
-    u -> w2: the walked one on the u side, the found one on the w1 side).
-    Probes run _WEDGE_CHUNK at a time, so memory stays bounded however
-    many there are; arrays are freed once spent, for the same reason.
+    C(d+(u), 2) wedges, and not the result. A closed probe counts once at
+    p (hit_1) and once at the position u -> w2 (hit_2: the walked one on
+    the u side, the found one on the w1 side). Probes run _WEDGE_CHUNK at a
+    time, so memory stays bounded however many there are; arrays are freed
+    once spent, for the same reason.
+
+    t and t_v are computed by rank from the hits alone: the forward keys
+    are sorted by one np.sort, with no permutation back to CSR slots. At
+    the position u -> w, u is in hit_1 triangles, summed over u's row by
+    prefix sums at the row bounds, and w in hit_1 + hit_2, summed by w's
+    rank with an integer np.add.at. The returned TriangleStats maps the
+    hits to slots only when t_e_slots is first read: hit_1 to the slot
+    u -> w and hit_1 + hit_2 to w -> u, the slots found by one
+    Graph.edge_slots call over the positions that closed a triangle. Until
+    then it holds the sorted keys and both hit counts, 3m int64s.
 
     Only the vertices with degree > 0 are ranked, and the keys and rows
     are over them alone, so past the n-sized rank and t_v, of which only
@@ -169,7 +192,8 @@ def count_ordered(graph: Graph) -> TriangleStats:
 
     A MemoryError in the n-sized arrays becomes a ValueError that names the
     vertex count, as Graph.from_edges reports it, and one in the m-sized
-    arrays after them a ValueError that names the edge count.
+    arrays after them, or in building t_e_slots later, a ValueError that
+    names the edge count.
     """
     try:
         return _count_ordered(graph)
@@ -179,7 +203,7 @@ def count_ordered(graph: Graph) -> TriangleStats:
 
 def _count_ordered(graph: Graph) -> TriangleStats:
     """count_ordered, with a MemoryError past the n-sized arrays raised as is."""
-    n, offsets, targets, degrees = graph.n, graph.offsets, graph.targets, graph.degrees
+    n, targets, degrees = graph.n, graph.targets, graph.degrees
     try:
         # The n-sized arrays, allocated together. Past the memory the graph's
         # own arrays left, n is too large, as Graph.from_edges reports it.
@@ -187,29 +211,26 @@ def _count_ordered(graph: Graph) -> TriangleStats:
         t_v = np.zeros(n, dtype=np.int64)
         # Only the vertices with an edge are ranked, and only their entries
         # of rank and t_v are touched: an isolated vertex has no slot and
-        # is in no triangle. A stable sort by degree breaks degree ties by id.
+        # is in no triangle. A stable sort by degree breaks degree ties by
+        # id; by_rank[r] is the vertex of rank r.
         live = np.flatnonzero(degrees)
         live_degrees = degrees[live]
-        rank[live[np.argsort(live_degrees, kind="stable")]] = np.arange(live.size, dtype=np.int64)
+        by_rank = live[np.argsort(live_degrees, kind="stable")]
+        rank[by_rank] = np.arange(live.size, dtype=np.int64)
     except MemoryError:
         raise ValueError(f"vertex count {n} needs more memory than is available") from None
     # Keys and rows are over the ranked vertices only.
     n_live = live.size
     # The slots' end ranks, 2m long each: past here a MemoryError names the edge count.
     src_rank = np.repeat(rank[live], live_degrees)
-    del live_degrees
+    del live, live_degrees
     tgt_rank = rank[targets]
     forward = tgt_rank > src_rank
-    fwd = np.flatnonzero(forward)
-    back = np.flatnonzero(~forward)
-    del forward
-    fkey = src_rank[fwd] * n_live + tgt_rank[fwd]
-    order = np.argsort(fkey)
-    fwd, fkey = fwd[order], fkey[order]
-    # Sorted by the key of its reversed edge, back[k] is the slot w -> u
-    # opposite the forward slot fwd[k] = u -> w.
-    back = back[np.argsort(tgt_rank[back] * n_live + src_rank[back])]
-    del src_rank, tgt_rank, order
+    fkey = src_rank[forward]
+    fkey *= n_live
+    fkey += tgt_rank[forward]
+    del src_rank, tgt_rank, forward
+    fkey.sort()
 
     # Vertex of rank r owns the forward positions row_bounds[r] to
     # row_bounds[r + 1] - 1.
@@ -217,8 +238,7 @@ def _count_ordered(graph: Graph) -> TriangleStats:
     n_fwd = len(fkey)
     u_rank = fkey // n_live
     w_rank = fkey - u_rank * n_live
-    np.add.at(row_bounds, u_rank + 1, 1)
-    np.cumsum(row_bounds, out=row_bounds)
+    np.cumsum(np.bincount(u_rank, minlength=n_live), out=row_bounds[1:])
     after = np.arange(1, n_fwd + 1, dtype=np.int64)
     later = row_bounds[u_rank + 1] - after
     walk_start = row_bounds[w_rank]
@@ -231,7 +251,7 @@ def _count_ordered(graph: Graph) -> TriangleStats:
     np.copyto(walk_start, after, where=~on_w1)
     query_row = np.where(on_w1, u_rank, w_rank)
     query_row *= n_live
-    del after, u_rank, row_bounds
+    del after, u_rank
     # Its probes have the global ids probe_bounds[p] to probe_bounds[p + 1]
     # - 1, and probe k walks position k + shift[p].
     probe_bounds = np.zeros(n_fwd + 1, dtype=np.int64)
@@ -289,15 +309,42 @@ def _count_ordered(graph: Graph) -> TriangleStats:
         # start; the ones running finish, and every worker is joined.
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    del fkey, w_rank, query_row, probe_bounds, shift, on_w1
+    del query_row, probe_bounds, shift, on_w1
 
-    t_e_slots = np.zeros(len(targets), dtype=np.int64)
-    t_e_slots[fwd] = hit_1
-    t_e_slots[back] = hit_1 + hit_2
-    per_slot = np.zeros(len(targets) + 1, dtype=np.int64)
-    np.cumsum(t_e_slots, out=per_slot[1:])
-    t_v[live] = per_slot[offsets[live + 1]] - per_slot[offsets[live]]
-    return TriangleStats(graph, int(hit_1.sum()), t_v, t_e_slots)
+    # t_v by rank: a position's u -> w1 closes hit_1 triangles at u, summed
+    # over u's row by prefix sums, and hit_1 + hit_2 at w1, summed by w1.
+    per_position = np.zeros(n_fwd + 1, dtype=np.int64)
+    np.cumsum(hit_1, out=per_position[1:])
+    rank_t_v = per_position[row_bounds[1:]] - per_position[row_bounds[:-1]]
+    del per_position, row_bounds
+    hit_12 = hit_2
+    hit_12 += hit_1
+    np.add.at(rank_t_v, w_rank, hit_12)
+    t_v[by_rank] = rank_t_v
+    build_t_e_slots = partial(_slots_of_positions, graph, by_rank, fkey, hit_1, hit_12)
+    return TriangleStats(graph, int(hit_1.sum()), t_v, build_t_e_slots)
+
+
+def _slots_of_positions(
+    graph: Graph, by_rank: np.ndarray, fkey: np.ndarray, hit_1: np.ndarray, hit_12: np.ndarray
+) -> np.ndarray:
+    """count_ordered's t_e_slots: the forward position u -> w with key fkey[p]
+    charges hit_1[p] to the slot u -> w and hit_12[p] to the slot w -> u.
+
+    A MemoryError becomes the ValueError that count_ordered raises for one
+    in its m-sized arrays.
+    """
+    try:
+        closing = np.flatnonzero(hit_12)
+        u_rank, w_rank = np.divmod(fkey[closing], len(by_rank))
+        u, w = by_rank[u_rank], by_rank[w_rank]
+        del u_rank, w_rank
+        slots = graph.edge_slots(np.concatenate((u, w)), np.concatenate((w, u)))
+        t_e_slots = np.zeros(len(graph.targets), dtype=np.int64)
+        t_e_slots[slots] = np.concatenate((hit_1[closing], hit_12[closing]))
+        return t_e_slots
+    except MemoryError:
+        raise ValueError(f"edge count {graph.m} needs more memory than is available") from None
 
 
 def label_ground_truth(

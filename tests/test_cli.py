@@ -133,9 +133,10 @@ class TestExact:
             "error: vertex count 4 needs more memory than is available\n"
         )
 
-    def test_counter_tail_memory_is_exit_three(self, tmp_path, capsys):
-        # The graph and count_ordered's n-sized arrays fit, and the 2m + 1
-        # prefix sums in its m-sized tail do not.
+    @staticmethod
+    def exact_with_failing_zeros(path, flags, length) -> tuple[int, list]:
+        """main(["exact", ...]) with count_ordered's np.zeros raising MemoryError
+        for arrays of this length: (exit code, the lengths that failed)."""
         failed = []
 
         class NoMemoryNumpy:
@@ -144,13 +145,32 @@ class TestExact:
 
             @staticmethod
             def zeros(shape, *args, **kwargs):
-                if shape == 2 * 6 + 1:
+                if shape == length:
                     failed.append(shape)
                     raise MemoryError
                 return np.zeros(shape, *args, **kwargs)
 
         with mock.patch.object(exact, "np", NoMemoryNumpy()):
-            code = main(["exact", "--input", k4_path(tmp_path)])
+            code = main(["exact", "--input", path, *flags])
+        return code, failed
+
+    def test_counter_tail_memory_is_exit_three(self, tmp_path, capsys):
+        # The graph and count_ordered's n-sized arrays fit, and the m = 6
+        # per-position hit counts in its tail do not.
+        code, failed = self.exact_with_failing_zeros(k4_path(tmp_path), [], 6)
+        assert failed
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: edge count 6 needs more memory than is available\n"
+        )
+
+    def test_slot_split_memory_is_exit_three(self, tmp_path, capsys):
+        # Only --json reads t_e, so only it builds the per-slot split, whose
+        # 2m slot counts do not fit; plain exact never allocates them.
+        path = k4_path(tmp_path)
+        assert self.exact_with_failing_zeros(path, [], 2 * 6) == (0, [])
+        capsys.readouterr()
+        code, failed = self.exact_with_failing_zeros(path, ["--json"], 2 * 6)
         assert failed
         assert code == 3
         assert capsys.readouterr().err == (

@@ -2,15 +2,17 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from subtri import exact
 from subtri.exact import count_brute, count_ordered, label_ground_truth
 from subtri.graph_store import Graph
 from subtri.heavy import BORDERLINE, HEAVY, LIGHT
 from subtri.lb_gen import gen_g2_matching
-from test_properties import wedge_reference
+from test_properties import pool_of, wedge_reference
 from util import complete_graph, gnp_graph
 
 
@@ -156,6 +158,46 @@ class TestIsolatedVertices:
         assert not stats.t_v[g.degrees == 0].any()
         assert np.array_equal(stats.t_e_slots, brute.t_e_slots)
         assert np.array_equal(stats.t_e_slots, t_e_slots)
+
+
+def sparse_id_graph() -> Graph:
+    """G(30, 0.3) on 30 of 200 ids, so most ids are isolated."""
+    ids = np.random.default_rng(1).choice(200, size=30, replace=False)
+    return Graph.from_edges(200, [(ids[u], ids[w]) for u, w in gnp_graph(30, 0.3, seed=1).edges()])
+
+
+LAZY_SPLIT_GRAPHS = {
+    "gnp": lambda: gnp_graph(60, 0.2, seed=4),
+    "sparse-ids": sparse_id_graph,
+    "edgeless": lambda: Graph.from_edges(5, []),
+    "empty": lambda: Graph.from_edges(0, []),
+}
+
+
+class TestLazySlotSplit:
+    # t and t_v come from the per-position hits; the per-slot t_e split maps
+    # them to CSR slots through Graph.edge_slots, once, on first access.
+    # Passes of 3 probes put every graph with a triangle on several passes.
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("name", list(LAZY_SPLIT_GRAPHS))
+    def test_split_is_built_once_on_first_access(self, name, workers):
+        g = LAZY_SPLIT_GRAPHS[name]()
+        brute = count_brute(g)
+        no_split = AssertionError("t or t_v built the slot split")
+        with mock.patch.object(exact, "_WEDGE_CHUNK", 3), pool_of(workers):
+            with mock.patch.object(Graph, "edge_slots", side_effect=no_split):
+                stats = count_ordered(g)
+                assert stats.t == brute.t
+                assert np.array_equal(stats.t_v, brute.t_v)
+        counting = mock.patch.object(Graph, "edge_slots", autospec=True, side_effect=Graph.edge_slots)
+        with counting as edge_slots:
+            assert np.array_equal(stats.t_e_slots, brute.t_e_slots)
+            assert stats.t_e == brute.t_e
+            assert stats.to_json_dict() == brute.to_json_dict()
+            assert stats.t_e_slots is stats.t_e_slots
+        assert edge_slots.call_count == 1
+        if name == "gnp":
+            assert stats.t > 0
 
 
 class TestSerialization:
