@@ -5,9 +5,11 @@ with E[X] <= t always, and E[X] close to t when the advice brackets the
 truth. estimate removes the advice assumption: it pins m_bar with an
 average-degree stage, then descends t_bar = top, top/2, ... once,
 accepting the first level whose (minimum-over-runs) estimate clears the
-level. Budget exhaustion or full descent falls back to an exact count,
-mirroring the abort argument: once a 2*m_bar query budget is spent, reading
-the whole graph is no more expensive asymptotically.
+level. A level stops at its first run below t_bar, which already rejects
+it, so only the accepting level makes all its runs. Budget exhaustion or
+full descent falls back to an exact count, mirroring the abort argument:
+once a 2*m_bar query budget is spent, reading the whole graph is no more
+expensive asymptotically.
 
 One rule applies at both places that draw uniform vertices: a stage that
 would draw at least n of them reads V instead, at the cost of the n
@@ -42,7 +44,7 @@ from .heavy import (
 from .query_oracle import BudgetExhausted, QueryOracle
 
 # Advice runs per t_bar level in estimate's search; a level accepts when the
-# minimum over its runs clears it.
+# minimum over its runs clears it, and stops at its first run below it.
 RUNS_PER_LEVEL = 2
 
 # Feige stage sizing: each of ceil(10 ln n) invocations averages
@@ -326,11 +328,16 @@ def estimate(
     unless the caller installed one, a query budget of ceil(2 * m_bar);
     (2) one descent visits t_bar = top / 2^level once for each level, while
     t_bar >= 1, and accepts the first level where the minimum over
-    RUNS_PER_LEVEL advice runs clears the level; (3) if the budget trips, a
-    run would blow past MAX_RUN_SAMPLES, or the descent ends without
-    acceptance, the exact count is taken by reading the graph directly
-    (off-oracle), and the report says so. params defaults to the practical
-    profile.
+    RUNS_PER_LEVEL advice runs clears the level, returning that minimum. A
+    level stops at its first run below t_bar, which rejects it whatever
+    the later runs would read. Each run draws from its own
+    SeedSequence(entropy, spawn_key=(level, run_i)) and reads only the
+    verdicts of its level's earlier runs, so stopping early changes no
+    estimate or t_bar, only the runs made and the queries charged; (3) if
+    the budget trips, a run would blow past MAX_RUN_SAMPLES, or the descent
+    ends without acceptance, the exact count is taken by reading the graph
+    directly (off-oracle), and the report says so. params defaults to the
+    practical profile.
 
     The descent starts at top = n^3 when m_bar is sampled. When the first
     stage reads V, m_bar = m exactly and Rivin's bound t <= (sqrt(2)/3) *
@@ -343,13 +350,17 @@ def estimate(
     an estimate reads V once however many of its runs read V.
 
     The descent's cost is what it spends down to the first level at or below
-    t, as in the analysis (Eden, Levi, Ron, Seshadhri, FOCS 2015). Each level
-    is visited once: re-descending from n^3 whenever the floor halves, as
-    this code once did, made L(L+1)/2 visits for L levels. A revisit bought
-    little. At a level above t it is one more false-accept draw: E[X] <= t,
-    so by Markov each visit accepts with probability at most t / t_bar. At a
-    level just below t it is a second try at a cheaper level, but only after
-    the whole prefix above it has been paid for again.
+    t, as in the analysis (Eden, Levi, Ron, Seshadhri, FOCS 2015):
+    RUNS_PER_LEVEL runs at the accepting level and, at each rejected level,
+    the runs up to its first one below t_bar, most often just that one. A
+    budget that all RUNS_PER_LEVEL runs at every level would trip may so
+    trip later, or not at all. Each level is visited once: re-descending
+    from n^3 whenever the floor halves, as this code once did, made
+    L(L+1)/2 visits for L levels. A revisit bought little. At a level above
+    t it is one more false-accept draw: E[X] <= t, so by Markov each visit
+    accepts with probability at most t / t_bar. At a level just below t it
+    is a second try at a cheaper level, but only after the whole prefix
+    above it has been paid for again.
     """
     t_start = time.perf_counter()
     if params is None:
@@ -388,17 +399,17 @@ def estimate(
             for level in range(int(top).bit_length()):
                 t_bar = top / 2.0**level
                 cache: dict[int, str] = {}
-                xs = []
+                x_final = math.inf
                 for run_i in range(RUNS_PER_LEVEL):
                     run_ss = np.random.SeedSequence(entropy=loop_entropy, spawn_key=(level, run_i))
-                    xs.append(
-                        estimate_with_advice(
-                            oracle, m_bar, t_bar, eps_eff, params,
-                            seed=run_ss, verdict_cache=cache, v_sampler=v_sampler,
-                        )
-                    )
+                    x_final = min(x_final, estimate_with_advice(
+                        oracle, m_bar, t_bar, eps_eff, params,
+                        seed=run_ss, verdict_cache=cache, v_sampler=v_sampler,
+                    ))
                     runs += 1
-                x_final = min(xs)
+                    if x_final < t_bar:
+                        # The level's minimum can only fall further.
+                        break
                 if x_final >= t_bar:
                     accepted_level = t_bar
                     reason = None

@@ -40,7 +40,7 @@ def test_readme_quickstart_prints_its_comments():
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     proc = run_python("-c", block)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[:4] == ["2", "2.0", "True", "budget"]
+    assert proc.stdout.splitlines()[:4] == ["2", "2.0", "True", "descent_exhausted"]
 
 
 def readme_cli_transcript() -> list[tuple[str, str]]:

@@ -327,6 +327,50 @@ class TestReadV:
         assert outcomes[0][0][0] > 0
 
 
+class TestLevelRule:
+    """A level stops at its first run below t_bar; only the accepting level
+    makes all RUNS_PER_LEVEL runs, and the descent ends there."""
+
+    GRAPHS = {
+        "g2-128": lambda: gen_g2_matching(512, 128, seed=1).graph,
+        "gnp": lambda: gnp_graph(200, 0.3, seed=4),
+        "clique": lambda: gen_clique_family(10**4, 10**6, seed=0).graph,
+    }
+
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_rejected_levels_stop_at_their_first_low_run(self, name):
+        g = self.GRAPHS[name]()
+        advice = estimator.estimate_with_advice
+        short_levels = 0
+        for seed in range(4):
+            calls = []
+
+            def spy(oracle, m_bar, t_bar, *args, **kwargs):
+                x = advice(oracle, m_bar, t_bar, *args, **kwargs)
+                calls.append((t_bar, x))
+                return x
+
+            with mock.patch.object(estimator, "estimate_with_advice", spy):
+                report = estimate(fresh_oracle(g, seed=seed), 0.5, EstimatorParams.practical(), seed=seed)
+            assert report.runs == len(calls)
+            levels: dict[float, list[float]] = {}
+            for t_bar, x in calls:
+                levels.setdefault(t_bar, []).append(x)
+            *rejected, last = levels.items()
+            for t_bar, xs in rejected:
+                # Every run but the last cleared the level; the last did not.
+                assert all(x >= t_bar for x in xs[:-1])
+                assert xs[-1] < t_bar
+                short_levels += len(xs) < RUNS_PER_LEVEL
+            assert not report.fallback_used
+            t_bar, xs = last
+            assert report.t_bar == t_bar
+            assert len(xs) == RUNS_PER_LEVEL
+            assert report.estimate == min(xs) >= t_bar
+        # The graphs and seeds do reject levels with runs to spare.
+        assert short_levels > 0
+
+
 class TestBlockRescoring:
     @pytest.mark.parametrize("profile, runs", [("practical", 2000), ("theoretical", 400)])
     def test_mean_matches_enumeration_under_mixed_verdicts(self, profile, runs):

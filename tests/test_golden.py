@@ -177,52 +177,53 @@ def run_exact_cli(tmp_path, capsys) -> dict:
 # Recorded from the batched classifier drawing from its run's Generator,
 # with one classifier call per block of an advice run's samples, on rows
 # stored by ascending neighbor id, with the classifier sampling through the
-# advice run's edge-probe kernel (thinned samples included), and with each
-# pair query charged the first time its pair is asked.
+# advice run's edge-probe kernel (thinned samples included), with each
+# pair query charged the first time its pair is asked, and with each t_bar
+# level stopping at its first run below t_bar.
 GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 8879.702996281021,
                           'queries': {'degree': 256,
-                                      'neighbor': 4148,
-                                      'pair': 1643,
-                                      'vertex_samples': 822,
-                                      'total': 6047},
-                          'runs': 14,
+                                      'neighbor': 3096,
+                                      'pair': 1239,
+                                      'vertex_samples': 411,
+                                      'total': 4591},
+                          'runs': 8,
                           't_bar': 5461.333333333334,
                           'fallback_used': False,
                           'fallback_reason': None},
  ('skewed', None, 0): {'estimate': 25966.571740601215,
                        'queries': {'degree': 2000,
-                                   'neighbor': 5943,
-                                   'pair': 1046,
-                                   'vertex_samples': 9666,
-                                   'total': 8989},
-                       'runs': 14,
+                                   'neighbor': 4308,
+                                   'pair': 710,
+                                   'vertex_samples': 4833,
+                                   'total': 7018},
+                       'runs': 8,
                        't_bar': 18442.500996844465,
                        'fallback_used': False,
                        'fallback_reason': None},
  ('k40', None, 0): {'estimate': 6937.894736842104,
                     'queries': {'degree': 40,
-                                'neighbor': 182,
-                                'pair': 124,
+                                'neighbor': 169,
+                                'pair': 116,
                                 'vertex_samples': 0,
-                                'total': 346},
-                    'runs': 6,
+                                'total': 325},
+                    'runs': 5,
                     't_bar': 2567.294295557095,
                     'fallback_used': False,
                     'fallback_reason': None},
  ('gnp', None, 1): {'estimate': 32432.76467799898,
                     'queries': {'degree': 200,
-                                'neighbor': 761,
-                                'pair': 352,
-                                'vertex_samples': 318,
-                                'total': 1313},
-                    'runs': 8,
+                                'neighbor': 472,
+                                'pair': 210,
+                                'vertex_samples': 159,
+                                'total': 882},
+                    'runs': 5,
                     't_bar': 27591.780365717615,
                     'fallback_used': False,
                     'fallback_reason': None},
  ('clique-n3000', None, 1): {'estimate': 120.0,
                              'queries': {'degree': 3000,
-                                         'neighbor': 67,
-                                         'pair': 23,
+                                         'neighbor': 68,
+                                         'pair': 22,
                                          'vertex_samples': 0,
                                          'total': 3090},
                              'runs': 1,
@@ -231,31 +232,31 @@ GOLDEN_ESTIMATE = {('g2-side64', None, 0): {'estimate': 8879.702996281021,
                              'fallback_reason': 'budget'},
  ('bipartite-side6', None, 0): {'estimate': 0.0,
                                 'queries': {'degree': 12,
-                                            'neighbor': 57,
-                                            'pair': 15,
+                                            'neighbor': 59,
+                                            'pair': 13,
                                             'vertex_samples': 0,
                                             'total': 84},
-                                'runs': 8,
+                                'runs': 4,
                                 't_bar': None,
                                 'fallback_used': True,
                                 'fallback_reason': 'budget'},
  ('bipartite-side6', 1000000, 0): {'estimate': 0.0,
                                    'queries': {'degree': 12,
-                                               'neighbor': 72,
+                                               'neighbor': 71,
                                                'pair': 15,
                                                'vertex_samples': 0,
-                                               'total': 99},
-                                   'runs': 14,
+                                               'total': 98},
+                                   'runs': 7,
                                    't_bar': None,
                                    'fallback_used': True,
                                    'fallback_reason': 'descent_exhausted'},
  ('skewed', 3000, 3): {'estimate': 33741.0,
                        'queries': {'degree': 2000,
-                                   'neighbor': 2578,
-                                   'pair': 422,
-                                   'vertex_samples': 9666,
+                                   'neighbor': 2651,
+                                   'pair': 349,
+                                   'vertex_samples': 4833,
                                    'total': 5000},
-                       'runs': 10,
+                       'runs': 6,
                        't_bar': None,
                        'fallback_used': True,
                        'fallback_reason': 'budget'},
@@ -376,9 +377,9 @@ GOLDEN_CLASSIFY = {('wheel', 18, 99.0, 81.0, 1): {'verdict': 'heavy',
                                                236.25198411865244,
                                                472.5039682373049],
                                    'queries_used': 140}}
-GOLDEN_CLI = {'estimate-json': '64386f2deabac4f07591bed57b7b40ed7d851ae6f8268b1e5fc7c1bff2dec2f4',
- 'estimate-plain': '92aa6bd9845c2c46f8a8debe3ad8f5964f5348016f244c1b250ba0e4246ad548',
- 'bench-csv': '9df06b7b81325bb2fb05fb9137a56f07951896b89bf9ceddc4d0932522b4bb52'}
+GOLDEN_CLI = {'estimate-json': 'c47c838485e870e488a50ad0148683688987b0611397cf2ccde4132f530d8ac4',
+ 'estimate-plain': '6ea2ab08be24261b6a940695dd7515cc82c769bf4dd7311e1966e88c7bb7c049',
+ 'bench-csv': '7d94c4a47d267d1746e5cf50458869ea81434f6b60e32ee41364aee62ab41416'}
 
 # Recorded from the revision before the vectorized exact counter.
 GOLDEN_EXACT_CLI = {

@@ -1,7 +1,8 @@
 """Property tests: oracle metering, batched neighbor and pair queries against
 a dict-memo reference, degree-weighted draws, graph storage and its slot
-lookup, the exact counters against networkx, and the ordered counter against
-brute force and the forward-wedge kernel it replaced."""
+lookup, the exact counters against networkx, the ordered counter against
+brute force and the forward-wedge kernel it replaced, and estimate's descent
+against one that makes every run at every level."""
 
 import threading
 from bisect import bisect_right
@@ -13,8 +14,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from subtri import exact
-from subtri.estimator import DegreeWeightedSampler
+from subtri import estimator, exact
+from subtri.estimator import (
+    RUNS_PER_LEVEL,
+    DegreeWeightedSampler,
+    EstimatorParams,
+    estimate,
+    estimate_with_advice,
+    feige_avg_degree,
+)
 from subtri.exact import count_brute, count_ordered
 from subtri.graph_store import Graph
 from subtri.lb_gen import gen_clique_family, gen_g2_matching
@@ -821,3 +829,55 @@ class TestOrderedKernel:
         # Passes not yet started when the failure reached the caller never ran.
         assert all_calls > 1000
         assert len(calls) < all_calls // 2
+
+
+def full_descent(oracle: QueryOracle, eps: float, seed: int) -> tuple[float, float | None, str | None]:
+    """estimate's search with every level making all RUNS_PER_LEVEL runs, from
+    the same stages, run seeds and per-level verdict caches, on an oracle
+    whose budget never trips: (estimate, t_bar, fallback_reason)."""
+    params = EstimatorParams.practical()
+    feige_ss, loop_ss = np.random.SeedSequence(seed).spawn(2)
+    loop_entropy = int(loop_ss.generate_state(2, np.uint64)[0])
+    m_bar = oracle.n * feige_avg_degree(oracle, seed=feige_ss) / 2.0
+    if m_bar > 0:
+        reads_v = estimator._feige_reads_v(oracle.n)
+        v_sampler = DegreeWeightedSampler(oracle) if reads_v else None
+        top = estimator.RIVIN * m_bar**1.5 if reads_v else float(oracle.n) ** 3
+        for level in range(int(top).bit_length()):
+            t_bar = top / 2.0**level
+            cache: dict[int, str] = {}
+            xs = [
+                estimate_with_advice(
+                    oracle, m_bar, t_bar, eps, params,
+                    seed=np.random.SeedSequence(entropy=loop_entropy, spawn_key=(level, run_i)),
+                    verdict_cache=cache, v_sampler=v_sampler,
+                )
+                for run_i in range(RUNS_PER_LEVEL)
+            ]
+            if min(xs) >= t_bar:
+                return min(xs), t_bar, None
+    return float(count_brute(oracle.graph).t), None, "descent_exhausted"
+
+
+@st.composite
+def descent_graphs(draw):
+    """Small G(n, p) and Chung-Lu graphs, the latter with skewed degrees."""
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        return gnp_graph(draw(st.integers(4, 60)), draw(st.floats(0.05, 0.7)), seed=seed)
+    n = draw(st.integers(20, 200))
+    return chung_lu(n, draw(st.integers(n, 6 * n)), beta=2.5, seed=seed)
+
+
+class TestLevelRule:
+    @given(descent_graphs(), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_no_estimate_moves_and_no_query_is_added(self, g, seed):
+        # A budget no descent can spend, so neither search trips it.
+        never = 10**12
+        o = QueryOracle(g, seed=seed, budget=never)
+        report = estimate(o, 0.5, EstimatorParams.practical(), seed=seed)
+        ref = QueryOracle(g, seed=seed, budget=never)
+        assert (report.estimate, report.t_bar, report.fallback_reason) == full_descent(ref, 0.5, seed)
+        assert o.budget_charged <= ref.budget_charged
+        assert o.stats.degree == ref.stats.degree
