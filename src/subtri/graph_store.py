@@ -110,7 +110,7 @@ class Graph:
             raise ValueError(f"edge {k}: {reason}")
         g = cls(n, m, degrees, offsets, targets, keys)
         try:
-            # The checks allocate n-sized arrays of their own.
+            # The successor check masks the n degrees, an n-sized array.
             g._check_invariants()
         except MemoryError:
             raise ValueError(f"vertex count {n} needs more memory than is available") from None
@@ -125,13 +125,18 @@ class Graph:
             raise RuntimeError("degree sum is not twice the edge count")
         if self.m == 0:
             return
-        n = self.n
-        key = self.degrees * np.int64(n) + np.arange(n, dtype=np.int64)
-        src = self._keys // n
-        succ_mask = key[self.targets] > key[src]
-        succ_counts = np.bincount(src[succ_mask], minlength=n)
+        # A row's successors are among its degree-many slots, so only a row
+        # longer than the bound can break it; as the degrees sum to 2m, fewer
+        # than sqrt(2m) rows are. Only their slots are read.
         bound = math.isqrt(2 * self.m)
-        if int(succ_counts.max()) > bound:
+        rows = np.flatnonzero(self.degrees > bound)
+        lens = self.degrees[rows]
+        firsts = np.cumsum(lens) - lens
+        src = np.repeat(rows, lens)
+        tgt = self.targets[np.arange(len(src)) + np.repeat(self.offsets[rows] - firsts, lens)]
+        d_src, d_tgt = self.degrees[src], self.degrees[tgt]
+        succ = (d_tgt > d_src) | ((d_tgt == d_src) & (tgt > src))
+        if int(np.add.reduceat(succ, firsts, dtype=np.int64).max(initial=0)) > bound:
             raise RuntimeError("successor bound violated")
 
     # -- queries ----------------------------------------------------------
@@ -368,34 +373,68 @@ def _tokenize_regular(arr: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, 
     a first token starting with '#').
     """
     space = (arr == ord(" ")) | ((arr >= ord("\t")) & (arr <= ord("\r")))
-    step = np.diff((~space).view(np.int8), prepend=np.int8(0), append=np.int8(0))
-    starts = np.flatnonzero(step == 1)
-    ends = np.flatnonzero(step == -1)
+    # Token bounds are where a byte's class differs from the one before;
+    # the chunk reads as bounded by whitespace, so starts and ends alternate.
+    flips = np.flatnonzero(np.diff(~space, prepend=False, append=False))
+    starts, ends = flips[0::2], flips[1::2]
     # Each line ends in whitespace or at the chunk's end, so no token
     # crosses a line bound; counts before each bound give per-line counts.
     before = np.searchsorted(starts, bounds)
     first_tok, n_tok = before[:-1], np.diff(before)
+    # A line is open, for the per-line rule, unless it has two tokens, no
+    # non-digit byte and no token over _MAX_DIGITS; most chunks have no such
+    # byte or token, and skip the lookup.
+    open_ = n_tok != 2
     odd = np.flatnonzero(~space & ((arr < ord("0")) | (arr > ord("9"))))
-    has_odd = np.diff(np.searchsorted(odd, bounds)) > 0
-    has_long = np.diff(np.searchsorted(starts[ends - starts > _MAX_DIGITS], bounds)) > 0
-    rows = np.flatnonzero((n_tok == 2) & ~has_odd & ~has_long)
-    tok = (first_tok[rows, None] + np.arange(2)).ravel()
+    for marks in (odd, starts[ends - starts > _MAX_DIGITS]):
+        if len(marks):
+            open_ |= np.diff(np.searchsorted(marks, bounds)) > 0
+    rows = np.flatnonzero(~open_)
+    tok = np.empty(2 * len(rows), dtype=np.int64)
+    tok[0::2] = first_tok[rows]
+    tok[1::2] = tok[0::2] + 1
     vals = _digit_values(arr, starts[tok], ends[tok])
-    open_rows = np.flatnonzero((n_tok != 0) & ((n_tok != 2) | has_odd | has_long))
+    open_rows = np.flatnonzero(open_ & (n_tok != 0))
     irregular = open_rows[arr[starts[first_tok[open_rows]]] != ord("#")]
     return rows, vals, irregular
 
 
+# _DIGIT_MASKS[k] keeps the low nibble of the top k bytes of a little-endian
+# word: the values of the last k digits of a run that ends with the word.
+_DIGIT_MASKS = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], np.uint64) & 0x0F0F0F0F0F0F0F0F
+
+
 def _digit_values(arr: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """int64 values of the ASCII digit runs arr[starts[i]:ends[i]], one digit
-    place per step from the widest run's leading place."""
-    vals = np.zeros(len(starts), dtype=np.int64)
-    for place in range(int((ends - starts).max(initial=0)), 0, -1):
-        pos = ends - place
-        digit = arr[np.maximum(pos, 0)] - ord("0")
-        vals *= 10
-        vals += np.where(pos >= starts, digit, 0)
-    return vals
+    """int64 values of the ASCII digit runs arr[starts[i]:ends[i]], each of at
+    most _MAX_DIGITS digits, 8 digits at a time: the 8 bytes before a run's
+    end, read as one little-endian word (an unaligned <u8 view), hold its last
+    8 digits, the first in the low byte. A per-length mask keeps each digit's
+    low nibble and clears the bytes before the run; three multiply-shift-mask
+    steps (SWAR: no sum overflows its lane) join neighboring digits, pairs and
+    fours into the word's 8-digit value. A run of over 8 or 16 digits adds the
+    words before, times 10**8 and 10**16."""
+    padded = np.zeros(len(arr) + 8, dtype=np.uint8)
+    padded[8:] = arr
+    # words[i] is the 8 bytes before arr[i].
+    words = np.ndarray((len(arr) + 1,), dtype="<u8", buffer=padded, strides=(1,))
+    lens = ends - starts
+    vals = _eight_digits(words, ends, lens)
+    for place in (8, 16):
+        at = np.flatnonzero(lens > place)
+        vals[at] += _eight_digits(words, ends[at] - place, lens[at] - place) * 10**place
+    return vals.view(np.int64)
+
+
+def _eight_digits(words: np.ndarray, ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """uint64 values of the last min(lens[i], 8) digits before ends[i]."""
+    w = words[ends]
+    w &= _DIGIT_MASKS.take(lens, mode="clip")  # a run of over 8 keeps all 8
+    for shift, keep in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF), (32, 0x00000000FFFFFFFF)):
+        # Lane i (shift // 8 digits) becomes 10**(shift // 8) * lane i + lane i + 1.
+        w *= (10 ** (shift // 8) << shift) + 1
+        w >>= shift
+        w &= keep
+    return w
 
 
 def _parse_line(line_no: int, raw: str, header_ok: bool) -> tuple[int, int] | int | None:

@@ -105,16 +105,15 @@ class TestExact:
             "error: line 1: vertex count 2000000001 needs more memory than is available\n"
         )
 
-    def test_vertex_count_past_check_memory_is_exit_three(self, tmp_path):
-        # Here the graph's own arrays (128 MB each) fit under 500 MB, and the
-        # invariant checks' n-sized arrays after them do not.
+    def test_vertex_count_past_counter_memory_is_exit_three(self, tmp_path):
+        # Here the graph's own arrays (128 MB each) and its checks fit under
+        # 500 MB, and count_ordered's n-sized arrays after them do not; the
+        # error names no line, as no line of the file is at fault.
         bad = tmp_path / "big.edges"
         bad.write_text("0 16000000\n")
         proc = self.exact_under_memory_limit(bad, 500_000)
         assert proc.returncode == 3, proc.stderr
-        assert proc.stderr == (
-            "error: line 1: vertex count 16000001 needs more memory than is available\n"
-        )
+        assert proc.stderr == "error: vertex count 16000001 needs more memory than is available\n"
 
     def test_counter_memory_is_exit_three(self, tmp_path, capsys):
         # The graph fits, and count_ordered's own n-sized arrays do not.

@@ -245,6 +245,59 @@ class TestInvariantExceptions:
         assert proc.stdout.strip() == "raised: successor bound violated"
 
 
+def full_count_violates(g: Graph) -> bool:
+    """The successor check over every slot, as it was before it read only
+    the rows longer than the bound: each vertex's neighbors after it in the
+    (degree, id) order, counted, against isqrt(2m)."""
+    n = g.n
+    key = g.degrees * n + np.arange(n, dtype=np.int64)
+    src = g._keys // n
+    return int(np.bincount(src[key[g.targets] > key[src]], minlength=n).max()) > math.isqrt(2 * g.m)
+
+
+def raises_successor_bound(g: Graph) -> bool:
+    try:
+        g._check_invariants()
+    except RuntimeError as exc:
+        assert str(exc) == "successor bound violated"
+        return True
+    return False
+
+
+@st.composite
+def raw_csr(draw):
+    """raw_graph arguments: rows of any targets in [0, n), repeats and self
+    loops allowed, over an even slot count, so the degree sum is 2m."""
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(st.integers(0, n - 1), max_size=10)) for _ in range(n)]
+    if sum(map(len, rows)) % 2:
+        rows[draw(st.integers(0, n - 1))].append(draw(st.integers(0, n - 1)))
+    slots = sum(map(len, rows))
+    return n, slots // 2, [len(r) for r in rows], [w for r in rows for w in r]
+
+
+class TestSuccessorCheckMatchesFullCount:
+    @settings(max_examples=500, deadline=None)
+    @given(case=raw_csr())
+    def test_raises_exactly_when_the_full_count_does(self, case):
+        g = raw_graph(*case)
+        assert raises_successor_bound(g) == (g.m > 0 and full_count_violates(g))
+
+    # Vertex 0 lists vertex 1 `succ` times and vertex 2 `degree - succ`
+    # times; vertex 1 lists vertex 2 16 - degree times, so 2m = 16 and the
+    # bound is 4. Vertex 1 (degree 16 - degree >= degree) comes after 0, and
+    # vertex 2 (degree 0) before, so 0 has exactly `succ` successors.
+    @pytest.mark.parametrize(
+        "degree, succ, violates",
+        [(4, 4, False), (4, 0, False), (5, 4, False), (5, 5, True), (8, 5, True), (8, 4, False)],
+    )
+    def test_rows_at_and_past_the_bound(self, degree, succ, violates):
+        g = raw_graph(3, 8, [degree, 16 - degree, 0], [1] * succ + [2] * (16 - succ))
+        assert math.isqrt(2 * g.m) == 4
+        assert full_count_violates(g) == violates
+        assert raises_successor_bound(g) == violates
+
+
 OVER_ROW_KEYS = "is over 3037000499, the most int64 row keys allow"
 
 # (lines, line_no, message) for malformed edge lists. Inputs with two faults
@@ -578,6 +631,58 @@ class TestLoaderMatchesLineLoop:
         path.write_bytes(data)
         assert outcome(load_edge_list, path) == outcome(reference_load, path)
         assert outcome(load_edge_list, path)[0] == "UnicodeDecodeError"
+
+
+def digit_tokens() -> list[str]:
+    """ASCII-digit ids of every width from 1 to 18, plain and zero-padded
+    (one more digit, and to 18), among them 2**32 +- 1, 2**53 + 1 and 10**18 - 1."""
+    values = [0, 2**32 - 1, 2**32 + 1, 2**53 + 1, 10**18 - 1]
+    for width in range(1, 19):
+        values += [10 ** (width - 1), int("918273645546372819"[:width]), 10**width - 1]
+    tokens = []
+    for digits in map(str, values):
+        tokens += [digits, digits.zfill(18)] + ([digits.zfill(len(digits) + 1)] if len(digits) < 18 else [])
+    return tokens
+
+
+def tokenized(source) -> list[int]:
+    """The ids _tokenize reads from a file or a list of lines, in order."""
+    if isinstance(source, Path):
+        with open(source, "rb") as fh:
+            flat, _, _, _, error = graph_store._tokenize(graph_store._file_chunks(fh))
+    else:
+        flat, _, _, _, error = graph_store._tokenize(graph_store._line_chunks(source))
+    assert error is None
+    return flat.tolist()
+
+
+class TestDigitRuns:
+    @pytest.mark.parametrize("chunk", range(1, 65))
+    def test_each_width_reads_as_int(self, tmp_path, chunk):
+        # Each token starts one line and ends the next. Chunks hold whole
+        # lines, so a line's first token is at a chunk's first byte when a cut
+        # precedes the line: the file's first line, and every line at chunks
+        # no longer than a line.
+        toks = digit_tokens()
+        lines = [f"{a} {b}" for a, b in zip(toks, toks[-1:] + toks[:-1])]
+        path = tmp_path / "ids.edges"
+        path.write_text("\n".join(lines))
+        expected = [int(tok) for line in lines for tok in line.split()]
+        with mock.patch.object(graph_store, "_CHUNK_BYTES", chunk):
+            assert tokenized(path) == expected
+            assert tokenized(lines) == expected
+
+    @pytest.mark.parametrize(
+        "tok", ["1000000000000000000", "0000000000000000001", str(2**63 - 1), str(2**63), "9" * 19]
+    )
+    def test_nineteen_digits_take_the_per_line_path(self, tok):
+        text = f"{tok} 2\n".encode()
+        arr, bounds = np.frombuffer(text, dtype=np.uint8), np.array([0, len(text)])
+        assert graph_store._tokenize_regular(arr, bounds)[2].tolist() == [0]
+        lines = [f"{tok} 2"]
+        assert outcome(load_edge_list, lines) == outcome(reference_load, lines)
+        if int(tok) < 2**63:
+            assert tokenized(lines) == [int(tok), 2]
 
 
 @st.composite
