@@ -163,6 +163,37 @@ class TestExact:
             "error: edge count 6 needs more memory than is available\n"
         )
 
+    def test_core_table_memory_is_exit_three(self, tmp_path, capsys):
+        # count_ordered's core bit table is allocated with its m-sized arrays.
+        # K4 has four live vertices: at the default core size it builds no
+        # table, and with a core of two it builds one, whose allocation fails
+        # here.
+        tables = []
+
+        class NoMemoryNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def zeros(*args, **kwargs):
+                if kwargs.get("dtype") == np.uint8:
+                    tables.append(args)
+                    raise MemoryError
+                return np.zeros(*args, **kwargs)
+
+        path = k4_path(tmp_path)
+        with mock.patch.object(exact, "np", NoMemoryNumpy()):
+            assert main(["exact", "--input", path]) == 0
+            assert tables == []
+            capsys.readouterr()
+            with mock.patch.object(exact, "_CORE_RANKS", 2):
+                code = main(["exact", "--input", path])
+        assert tables
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: edge count 6 needs more memory than is available\n"
+        )
+
     def test_slot_split_memory_is_exit_three(self, tmp_path, capsys):
         # Only --json reads t_e, so only it builds the per-slot split, whose
         # 2m slot counts do not fit; plain exact never allocates them.

@@ -746,6 +746,41 @@ class PassFailed(Exception):
 # at the default chunk.
 ONE_PASS = 1 << 18
 
+# Core sizes set by a graph's live vertex count: all of its ranks, where no
+# table is built, and all but the lowest, where only that rank's probes search.
+ALL_LIVE, ALL_BUT_LOWEST = "all-live", "all-but-lowest"
+
+
+def core_of(graph: Graph, size: int | str):
+    """Patch count_ordered's core to `size` ranks, or to ALL_LIVE or
+    ALL_BUT_LOWEST of the graph's."""
+    n_live = int(np.count_nonzero(graph.degrees))
+    size = {ALL_LIVE: n_live, ALL_BUT_LOWEST: max(n_live - 1, 0)}.get(size, size)
+    return mock.patch.object(exact, "_CORE_RANKS", size)
+
+
+def tables_built(graph: Graph) -> int:
+    """count_ordered(graph), checked against wedge_reference: the number of
+    core tables it allocated (uint8 arrays)."""
+    built = []
+
+    class SpyNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def zeros(*args, **kwargs):
+            built.extend([None] if kwargs.get("dtype") == np.uint8 else [])
+            return np.zeros(*args, **kwargs)
+
+    with mock.patch.object(exact, "np", SpyNumpy()):
+        stats = count_ordered(graph)
+    t, t_v, t_e_slots = wedge_reference(graph)
+    assert stats.t == t
+    assert np.array_equal(stats.t_v, t_v)
+    assert np.array_equal(stats.t_e_slots, t_e_slots)
+    return len(built)
+
 
 class TestOrderedKernel:
     # Chunk sizes of 1 and 3 split one vertex's probes over several passes
@@ -780,6 +815,79 @@ class TestOrderedKernel:
         if name == "chung-lu":
             # Both walks close triangles here, so the w1 side is exercised.
             assert min(closing_sides(g)) > 0
+
+    # Core sizes below a graph's live vertex count answer the top ranks'
+    # probes from the bit table and search the rest; at the live count no
+    # table is built. A core of 0 or 1 takes no probe (the top rank's row is
+    # empty), so its passes all search; with all ranks but the lowest and
+    # chunks of 1 and 3, most passes read only the table, and the rest mix.
+    @pytest.mark.parametrize("core", [0, 1, 3, 7, ALL_BUT_LOWEST, ALL_LIVE])
+    @pytest.mark.parametrize("chunk", [ONE_PASS, 3, 1])
+    @given(g=padded_graphs())
+    @settings(max_examples=50, deadline=None)
+    def test_core_table_matches_brute_per_slot(self, core, chunk, g):
+        brute = count_brute(g)
+        for workers in (1, 2, 4):
+            with core_of(g, core), mock.patch.object(exact, "_WEDGE_CHUNK", chunk), pool_of(workers):
+                ordered = count_ordered(g)
+            assert ordered.t == brute.t
+            assert np.array_equal(ordered.t_v, brute.t_v)
+            assert np.array_equal(ordered.t_e_slots, brute.t_e_slots)
+            assert ordered.t_e == brute.t_e
+
+    @pytest.mark.parametrize("core", [0, 1, 3, 7, ALL_BUT_LOWEST, ALL_LIVE])
+    @pytest.mark.parametrize("chunk", [ONE_PASS, 7, 3, 1])
+    @pytest.mark.parametrize("name", list(KERNEL_GRAPHS))
+    def test_core_table_matches_wedge_reference(self, core, chunk, name):
+        g = KERNEL_GRAPHS[name]()
+        t, t_v, t_e_slots = wedge_reference(g)
+        slots = np.flatnonzero(t_e_slots)
+        sources = np.searchsorted(g.offsets, slots, side="right") - 1
+        t_e = dict(zip(zip(sources.tolist(), g.targets[slots].tolist()), t_e_slots[slots].tolist()))
+        for workers in (1, 2, 4):
+            with core_of(g, core), mock.patch.object(exact, "_WEDGE_CHUNK", chunk), pool_of(workers):
+                ordered = count_ordered(g)
+            assert ordered.t == t
+            assert np.array_equal(ordered.t_v, t_v)
+            assert np.array_equal(ordered.t_e_slots, t_e_slots)
+            assert ordered.t_e == t_e
+
+    def test_table_needs_more_live_vertices_than_the_core(self):
+        g = KERNEL_GRAPHS["chung-lu"]()
+        n_live = int(np.count_nonzero(g.degrees))
+        for size, built in ((1, 1), (n_live - 1, 1), (n_live, 0), (n_live + 1, 0)):
+            with mock.patch.object(exact, "_CORE_RANKS", size):
+                assert tables_built(g) == built
+
+    @pytest.mark.parametrize("shape", ["matching", "star"])
+    def test_no_probe_builds_no_table(self, shape):
+        # More live vertices than the default core, but no forward row has
+        # a second key, so no probe is walked and no pass runs.
+        n = exact._CORE_RANKS + 2
+        if shape == "matching":
+            edges = np.arange(n).reshape(-1, 2)
+        else:
+            edges = np.column_stack((np.zeros(n - 1, dtype=np.int64), np.arange(1, n)))
+        g = Graph.from_edges(n, edges)
+        assert np.count_nonzero(g.degrees) > exact._CORE_RANKS
+        assert tables_built(g) == 0
+
+    def test_default_core_against_networkx(self):
+        # More live vertices than the default core, at the default chunk:
+        # the top ranks' probes read the table and the rest search.
+        g = chung_lu(6000, 32_000, beta=2.5, seed=6)
+        assert np.count_nonzero(g.degrees) > exact._CORE_RANKS
+        assert tables_built(g) == 1
+        stats = count_ordered(g)
+        nx_g = nx.Graph()
+        nx_g.add_nodes_from(range(g.n))
+        nx_g.add_edges_from(zip(np.repeat(np.arange(g.n), g.degrees).tolist(), g.targets.tolist()))
+        per_vertex = nx.triangles(nx_g)
+        assert stats.t == sum(per_vertex.values()) // 3 > 0
+        assert stats.t_v.tolist() == [per_vertex[v] for v in range(g.n)]
+        slot_sums = np.concatenate(([0], np.cumsum(stats.t_e_slots)))
+        assert slot_sums[-1] == 3 * stats.t
+        assert np.array_equal(slot_sums[g.offsets[1:]] - slot_sums[g.offsets[:-1]], stats.t_v)
 
     def test_one_pass_starts_no_thread(self):
         g = KERNEL_GRAPHS["chung-lu"]()
