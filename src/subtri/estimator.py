@@ -18,7 +18,8 @@ then returns the exact mean, so m_bar = m and the descent starts at Rivin's
 bound top = (sqrt(2)/3) * m^(3/2) instead of n^3. An advice run that reads
 V samples exactly uniform edges and calls no classifier (Assadi, Kapralov
 and Khanna, ITCS 2019, count from uniform edges without one); the runs of
-one estimate that read V share one degree-weighted sampler over it. Both
+one estimate that read V share one degree-weighted sampler over it, which
+draws the vertex of a uniform CSR slot. Both
 places read V through QueryOracle.q_degree_all, which charges the n degree
 queries once and returns the graph's degree array without a sort or a copy.
 """
@@ -104,43 +105,50 @@ class EstimatorParams:
 class DegreeWeightedSampler:
     """Draw vertices from a fixed multiset with probability proportional to degree.
 
-    The members' degrees are read through the oracle in one batch when the
-    sampler is built; draws are exact: a uniform position below the total
-    degree, then the first prefix sum of the multiset's degree sequence
-    above it, found by searchsorted. A zero-degree member adds nothing to
-    the prefix sums, so it is never drawn.
+    Every draw starts at a uniform position below the total degree. Over a
+    multiset S of vertices, the members' degrees are read through the
+    oracle in one batch when the sampler is built, and a position draws the
+    member at the first prefix sum of their degree sequence above it, found
+    by searchsorted. A zero-degree member adds nothing to the prefix sums,
+    so it is never drawn.
 
     Built without vertices, the sampler is over V: it reads all n degrees
     with one q_degree_all, which charges nothing when the average-degree
-    stage has read V already, and keeps the vertices of degree > 0 only.
-    That draws the same vertices from the same Generator as a sampler over
-    arange(n), with prefix sums only as long as the non-isolated vertices.
-    estimate builds one such sampler per estimate and shares it among the
-    advice runs that read V.
+    stage has read V already, and its total degree is 2m. The degrees of
+    V in id order are the graph's rows in slot order, so a position is a
+    uniform CSR slot and draws its row's vertex, Graph.slot_sources: the
+    uniform-edge draw of Assadi, Kapralov and Khanna. That is the vertex a
+    sampler over arange(n) draws from the same Generator, with no search,
+    and building the sampler allocates nothing. estimate builds one such
+    sampler per estimate and shares it among the advice runs that read V.
     """
 
     def __init__(self, oracle: QueryOracle, vertices: np.ndarray | None = None):
         if vertices is None:
-            degrees = oracle.q_degree_all()
-            self.vertices = np.flatnonzero(degrees)
-            self.degrees = degrees[self.vertices]
+            self._graph = oracle.graph
+            self._degrees = oracle.q_degree_all()
+            self.total_degree = 2 * self._graph.m
         else:
-            self.vertices = np.asarray(vertices, dtype=np.int64)
-            self.degrees = oracle.q_degree_batch(self.vertices)
-        self._cum = np.cumsum(self.degrees, dtype=np.int64)
-        self.total_degree = int(self._cum[-1]) if len(self.vertices) else 0
+            self._graph = None
+            self._vertices = np.asarray(vertices, dtype=np.int64)
+            self._degrees = oracle.q_degree_batch(self._vertices)
+            self._cum = np.cumsum(self._degrees, dtype=np.int64)
+            self.total_degree = int(self._cum[-1]) if len(self._vertices) else 0
 
     def draw(self, rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k draws with replacement, as (vertices, their degrees)."""
         if self.total_degree <= 0:
             raise ValueError("sampler has zero total degree")
         pos = rng.integers(0, self.total_degree, k)
+        if self._graph is not None:
+            vs = self._graph.slot_sources(pos)
+            return vs, self._degrees[vs]
         # Searching in ascending order walks the prefix sums forward, with
         # far fewer cache misses; at restores the draw order.
         order = np.argsort(pos)
         at = np.empty_like(order)
         at[order] = np.searchsorted(self._cum, pos[order], "right")
-        return self.vertices[at], self.degrees[at]
+        return self._vertices[at], self._degrees[at]
 
 
 def estimate_with_advice(
@@ -166,10 +174,14 @@ def estimate_with_advice(
     When s1 >= n the run reads V instead of drawing: S = V and s1 = n, so
     every edge sample is exactly uniform and no vertex draw is counted. Such
     a run calls no classifier; a vertex scores by its verdict_cache entry,
-    LIGHT when it has none, so injected verdicts still count. It draws from
-    v_sampler, a DegreeWeightedSampler over V that estimate builds once and
-    shares among its runs, or from one it builds itself when none is
-    passed; the two draw alike. A run that draws S ignores v_sampler.
+    LIGHT when it has none, so injected verdicts still count. With an empty
+    verdict_cache every hit's three vertices are LIGHT, so the run scores
+    each hit a third of its score without looking its vertices up; the sum
+    is the one the lookup would give, to the bit, and the cache stays empty.
+    It draws from v_sampler, a DegreeWeightedSampler over V that estimate
+    builds once and shares among its runs, or from one it builds itself
+    when none is passed; the two draw alike: a uniform CSR slot's vertex.
+    A run that draws S ignores v_sampler.
     MAX_RUN_SAMPLES bounds min(s1, n) and s2.
 
     The edge sampling, thinning and probing is heavy.edge_hits, the kernel
@@ -188,7 +200,8 @@ def estimate_with_advice(
     edge_hits call (its edges, their far ends' degrees, the probes, the
     pairs and the closers' degrees), then, in a run that draws S, one
     classify_batch call for every vertex of the block's hits that
-    verdict_cache lacks, and scores the hits from verdict_cache. The set of
+    verdict_cache lacks, and scores the hits from verdict_cache (or, in a
+    run that reads V with an empty cache, as all LIGHT). The set of
     queries a run asks is fixed by its draws and the verdicts, and the
     oracle charges each distinct question once, by its own kind, so neither
     the estimate nor the charged count depends on that order; the order
@@ -219,12 +232,18 @@ def estimate_with_advice(
     if sampler.total_degree == 0:
         return 0.0
 
+    # A run that reads V classifies nothing, so with no verdict given every
+    # vertex is LIGHT and each hit's score splits three ways.
+    all_light = read_v and not verdict_cache
     y_sum = 0.0
     for start in range(0, s2, _S2_BLOCK):
         # v was drawn by degree, so d_v > 0.
         vs, dvs = sampler.draw(np_rng, min(_S2_BLOCK, s2 - start))
         hit, xs, ws, score = edge_hits(oracle, vs, dvs, m_bar, np_rng)
         if not hit.size:
+            continue
+        if all_light:
+            y_sum += float(np.sum(score / 3))
             continue
         # Each hit's three vertices, then, in a run that draws S, one
         # classifier call for the ones no earlier block or run has classified.

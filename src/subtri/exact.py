@@ -242,7 +242,8 @@ def _count_ordered(graph: Graph) -> TriangleStats:
     src_rank = np.repeat(rank[live], live_degrees)
     del live, live_degrees
     tgt_rank = rank[targets]
-    forward = tgt_rank > src_rank
+    # Indices, not a mask: each take below then reads only the forward slots.
+    forward = np.flatnonzero(tgt_rank > src_rank)
     fkey = src_rank[forward]
     fkey *= n_live
     fkey += tgt_rank[forward]

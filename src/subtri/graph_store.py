@@ -174,6 +174,13 @@ class Graph:
         np.minimum(at, len(edge_keys) - 1, out=at)
         return np.where(edge_keys[at] == keys, at, -1)
 
+    def slot_sources(self, slots: np.ndarray) -> np.ndarray:
+        """The vertex whose row holds slots[k], for each k (every slot in
+        0..2m-1): the source of the key there, by one gather and one
+        division, with no search of the offsets. A uniform slot's source is
+        a vertex drawn with probability proportional to its degree."""
+        return self._keys[slots] // self.n
+
     def precedes(self, u: int, v: int) -> bool:
         """True when u comes before v in the (degree, id) vertex order."""
         du, dv = self.degrees[u], self.degrees[v]

@@ -71,13 +71,40 @@ def ceil_div_by_sqrt(d: int, m_bar: float) -> int:
     return r
 
 
+# Below this, d * d < 2^52 and r * r < 2^53 for r up to 2^26 + 1, so float64
+# holds them, and the products ceil_div_by_sqrt compares them with, exactly.
+_EXACT_BELOW = 1 << 26
+
+
 def ceil_div_by_sqrt_array(ds: np.ndarray, m_bar: float) -> np.ndarray:
-    """ceil_div_by_sqrt of each positive entry, exact: 1 throughout when the
-    largest d has d^2 <= m_bar, else computed once per distinct value."""
+    """ceil_div_by_sqrt of each entry, equal to it entry by entry.
+
+    The scalar's first guess and its +-1 integer steps run on arrays, for
+    the entries whose d and guess are below _EXACT_BELOW: there every
+    integer the steps compare converts to float64 exactly, so numpy's
+    float-against-int comparisons agree with Python's exact ones, and the
+    float products round alike. An entry at or above it (a degree of 2^26
+    or more, or a d / sqrt(m_bar) that large when m_bar < 1) takes the
+    scalar. 1 for each positive entry when the largest d has d^2 <= m_bar.
+    """
+    ds = np.asarray(ds, dtype=np.int64)
+    positive = ds > 0
+    r = positive.astype(np.int64)
     if not ds.size or int(ds.max()) ** 2 <= m_bar:
-        return np.ones(ds.size, dtype=np.int64)
-    vals, inv = np.unique(ds, return_inverse=True)
-    return np.array([ceil_div_by_sqrt(d, m_bar) for d in vals.tolist()], dtype=np.int64)[inv]
+        return r
+    guess = np.ceil(ds / math.sqrt(m_bar))
+    fast = positive & (ds < _EXACT_BELOW) & (guess < _EXACT_BELOW)
+    at = np.flatnonzero(fast & (ds * ds > m_bar))
+    d2 = ds[at] * ds[at]
+    ra = np.maximum(1, guess[at]).astype(np.int64)
+    while (down := (ra > 1) & ((ra - 1) * (ra - 1) * m_bar >= d2)).any():
+        ra[down] -= 1
+    while (up := ra * ra * m_bar < d2).any():
+        ra[up] += 1
+    r[at] = ra
+    for i in np.flatnonzero(positive & ~fast).tolist():
+        r[i] = ceil_div_by_sqrt(int(ds[i]), m_bar)
+    return r
 
 
 def edge_hits(oracle, vs, dvs, m_bar: float, rng: np.random.Generator):

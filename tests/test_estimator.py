@@ -327,6 +327,48 @@ class TestReadV:
         assert outcomes[0][0][0] > 0
 
 
+class TestAllLightScoring:
+    """A run that reads V with an empty verdict cache scores every hit as
+    three LIGHT vertices without a lookup; every other run looks up."""
+
+    @pytest.mark.parametrize("t_bar", [3.0, 30.0])
+    def test_empty_cache_scores_as_an_all_light_cache(self, t_bar):
+        # G(60, 0.3) on ids 1-60 of 64. Both t_bar read V (s1 >= n = 64), and
+        # t_bar = 3 makes s2 span two blocks. The LIGHT cache takes the lookup.
+        edges = [(u + 1, v + 1) for u, v in gnp_edges(60, 0.3, seed=2).tolist()]
+        g = Graph.from_edges(64, edges)
+        outcomes = []
+        for cache in ({}, dict.fromkeys(range(g.n), LIGHT)):
+            before = dict(cache)
+            o = fresh_oracle(g, seed=5)
+            with mock.patch.object(estimator, "classify_batch", side_effect=AssertionError):
+                xs = [
+                    estimate_with_advice(o, float(g.m), t_bar, 0.5, seed=seed, verdict_cache=cache)
+                    for seed in (0, 1, 2)
+                ]
+            assert cache == before
+            outcomes.append((xs, o.stats.to_dict()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1]["vertex_samples"] == 0
+        assert all(x > 0 for x in outcomes[0][0])
+        # A cache that is not empty is read: all HEAVY scores nothing.
+        o = fresh_oracle(g, seed=5)
+        heavy = dict.fromkeys(range(g.n), HEAVY)
+        assert estimate_with_advice(o, float(g.m), t_bar, 0.5, seed=0, verdict_cache=heavy) == 0.0
+
+    def test_run_that_draws_s_classifies_from_an_empty_cache(self):
+        # K40 at t_bar = 1e5: s1 = 31 < n = 40, so the run draws S, and
+        # every edge sample's probes close triangles.
+        g = complete_graph(40)
+        cache: dict[int, str] = {}
+        o = fresh_oracle(g)
+        with mock.patch.object(estimator, "classify_batch", wraps=estimator.classify_batch) as spy:
+            estimate_with_advice(o, float(g.m), 1e5, 0.5, EstimatorParams.theoretical(), seed=0, verdict_cache=cache)
+        assert o.stats.vertex_samples == 31
+        assert spy.call_count >= 1
+        assert cache and set(cache) <= set(range(g.n))
+
+
 class TestLevelRule:
     """A level stops at its first run below t_bar; only the accepting level
     makes all RUNS_PER_LEVEL runs, and the descent ends there."""

@@ -1,10 +1,12 @@
 """Property tests: oracle metering, batched neighbor and pair queries against
-a dict-memo reference, degree-weighted draws, graph storage and its slot
-lookup, the exact counters against networkx, the ordered counter against
+a dict-memo reference, degree-weighted draws, the exact ceil-div against its
+scalar, graph storage and its slot lookups, the exact counters against networkx, the ordered counter against
 brute force and the forward-wedge kernel it replaced, and estimate's descent
 against one that makes every run at every level."""
 
+import math
 import threading
+import tracemalloc
 from bisect import bisect_right
 from unittest import mock
 
@@ -24,7 +26,8 @@ from subtri.estimator import (
     feige_avg_degree,
 )
 from subtri.exact import count_brute, count_ordered
-from subtri.graph_store import Graph
+from subtri.graph_store import MAX_VERTICES, Graph
+from subtri.heavy import ceil_div_by_sqrt, ceil_div_by_sqrt_array
 from subtri.lb_gen import gen_clique_family, gen_g2_matching
 from subtri.query_oracle import BudgetExhausted, QueryOracle, QueryStats
 from util import gnp_graph
@@ -223,17 +226,47 @@ class TestDegreeWeightedDraws:
     @settings(max_examples=200, deadline=None)
     def test_non_isolated_members_draw_as_all_of_v(self, degrees, seed, k):
         # A zero-degree member never moves a draw, so the sampler over the
-        # vertices of degree > 0, the one estimate builds over V, and one
-        # over arange(n) return the same draws from equal Generators.
+        # members of degree > 0 and one over arange(n) return the same
+        # draws from equal Generators, for degrees no graph need have.
         assume(0 in degrees and any(degrees))
         oracle = _DegreeVector(degrees)
         over_n = DegreeWeightedSampler(oracle, np.arange(len(degrees)))
-        for sampler in (DegreeWeightedSampler(oracle, np.flatnonzero(degrees)),
-                        DegreeWeightedSampler(oracle)):
-            assert sampler.total_degree == over_n.total_degree == sum(degrees)
-            got = sampler.draw(np.random.default_rng(seed), k)
-            want = over_n.draw(np.random.default_rng(seed), k)
-            assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        sampler = DegreeWeightedSampler(oracle, np.flatnonzero(degrees))
+        assert sampler.total_degree == over_n.total_degree == sum(degrees)
+        got = sampler.draw(np.random.default_rng(seed), k)
+        want = over_n.draw(np.random.default_rng(seed), k)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+    @given(padded_graphs(), st.integers(0, 2**32), st.integers(0, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_sampler_over_v_draws_as_a_sampler_over_all_ids(self, g, seed, k):
+        # The sampler over V draws a uniform slot's row vertex; the padded
+        # isolated ids own no slot, so it draws what the prefix-sum search
+        # over arange(n) draws from an equal Generator.
+        assume(g.m > 0)
+        over_v = DegreeWeightedSampler(QueryOracle(g, seed=0))
+        over_n = DegreeWeightedSampler(QueryOracle(g, seed=0), np.arange(g.n))
+        assert over_v.total_degree == over_n.total_degree == 2 * g.m
+        got = over_v.draw(np.random.default_rng(seed), k)
+        want = over_n.draw(np.random.default_rng(seed), k)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert got[1].tolist() == [g.degree(v) for v in got[0].tolist()]
+
+    def test_sampler_over_v_allocates_no_array(self):
+        # Building the sampler over V reads the graph's own degree array and
+        # its edge count: no n- or m-sized array, whatever the graph's size.
+        n = 10**5
+        g = Graph.from_edges(n, np.arange(n).reshape(-1, 2))
+        oracle = QueryOracle(g, seed=0)
+        tracemalloc.start()
+        try:
+            sampler = DegreeWeightedSampler(oracle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sampler.total_degree == 2 * g.m
+        assert oracle.stats.degree == g.n
+        assert peak < 4096
 
 
 class _DegreeVector:
@@ -246,8 +279,69 @@ class _DegreeVector:
     def q_degree_batch(self, vs):
         return self._degrees[np.asarray(vs, dtype=np.int64)]
 
-    def q_degree_all(self):
-        return self._degrees
+
+# The degree at which ceil_div_by_sqrt_array stops trusting float64 with d^2.
+_D_EXACT = 2**26
+
+
+@st.composite
+def ceil_div_cases(draw):
+    """(degrees, m_bar) where the ceiling is hard to get right: m_bar
+    integer, x.5, the float of a square (rounded above 2^53), the square of
+    a fraction, or any float from 1e-6 up; the degrees 0, any a graph can
+    hold, ones next to 2^26, and ones next to k * sqrt(m_bar), where the
+    ceiling steps."""
+    m_bar = draw(st.one_of(
+        st.integers(1, 2**62).map(float),
+        st.integers(0, 2**51).map(lambda k: k + 0.5),
+        st.integers(1, MAX_VERTICES - 1).map(lambda d: float(d * d)),
+        st.tuples(st.integers(1, 10**6), st.integers(1, 64)).map(lambda pq: (pq[0] / pq[1]) ** 2),
+        st.floats(1e-6, 1e19),
+    ))
+    root = math.sqrt(m_bar)
+    near = sorted({
+        x for k in range(1, 65) for x in (round(k * root) + dd for dd in (-1, 0, 1))
+        if 0 <= x < MAX_VERTICES
+    } or {0})
+    anywhere = st.one_of(
+        st.just(0),
+        st.integers(1, MAX_VERTICES - 1),
+        st.integers(_D_EXACT - 3, _D_EXACT + 3),
+        st.integers(1, 10**4),
+    )
+    return draw(st.lists(anywhere, max_size=20)) + draw(st.lists(st.sampled_from(near), min_size=1, max_size=20)), m_bar
+
+
+class TestCeilDivArray:
+    @given(ceil_div_cases())
+    @settings(max_examples=500, deadline=None)
+    @example(([0, 3, 4, 9], 9.0))  # d = 0, d^2 == m_bar, a perfect square
+    @example(([1, 2, 3, 5], 2.5))  # a non-integer m_bar
+    @example(([1, 2, 3], 1 / 9))  # 9 * m_bar rounds to 1.0 = d^2
+    @example(([_D_EXACT - 1, _D_EXACT, _D_EXACT + 1], float(_D_EXACT**2)))
+    @example(([_D_EXACT - 1, _D_EXACT, _D_EXACT + 1], float((_D_EXACT - 1) ** 2)))
+    @example(([_D_EXACT - 1, _D_EXACT, _D_EXACT + 1], 0.5))
+    @example(([94906267], float(94906267**2)))  # the first d^2 float64 rounds (down)
+    @example(([91], (13 / 17) ** 2))  # a guess one high: 119^2 * m_bar rounds to 91^2
+    @example(([9532822], 206735905.58861974))  # a guess one low
+    @example(([_D_EXACT // 2, _D_EXACT - 1], 1e-6))  # a guess of 2^26 or more
+    @example(([MAX_VERTICES - 1, 1], 2.0))
+    def test_matches_the_scalar(self, case):
+        ds, m_bar = case
+        got = ceil_div_by_sqrt_array(np.array(ds, dtype=np.int64), m_bar)
+        assert got.dtype == np.int64
+        assert got.tolist() == [ceil_div_by_sqrt(d, m_bar) for d in ds]
+
+
+class TestSlotSources:
+    @given(padded_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_every_slot_maps_to_its_row_vertex(self, g):
+        slots = np.arange(2 * g.m)
+        got = g.slot_sources(slots)
+        assert got.tolist() == (np.searchsorted(g.offsets, slots, "right") - 1).tolist()
+        for v in range(g.n):
+            assert (got[g.offsets[v]:g.offsets[v + 1]] == v).all()
 
 
 @st.composite
