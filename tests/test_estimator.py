@@ -363,7 +363,9 @@ class TestAllLightScoring:
         cache: dict[int, str] = {}
         o = fresh_oracle(g)
         with mock.patch.object(estimator, "classify_batch", wraps=estimator.classify_batch) as spy:
-            estimate_with_advice(o, float(g.m), 1e5, 0.5, EstimatorParams.theoretical(), seed=0, verdict_cache=cache)
+            estimate_with_advice(
+                o, float(g.m), 1e5, 0.5, EstimatorParams.theoretical(), seed=0, verdict_cache=cache
+            )
         assert o.stats.vertex_samples == 31
         assert spy.call_count >= 1
         assert cache and set(cache) <= set(range(g.n))

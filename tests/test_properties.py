@@ -1,8 +1,9 @@
 """Property tests: oracle metering, batched neighbor and pair queries against
-a dict-memo reference, degree-weighted draws, the exact ceil-div against its
-scalar, graph storage and its slot lookups, the exact counters against networkx, the ordered counter against
-brute force and the forward-wedge kernel it replaced, and estimate's descent
-against one that makes every run at every level."""
+a dict-memo reference, degree-weighted draws, the array ceil-div against
+its scalar, graph storage and its slot lookups, the exact counters against
+networkx, the ordered counter against brute force and the forward-wedge
+kernel it replaced, and estimate's descent against one that makes every run
+at every level."""
 
 import math
 import threading
@@ -309,7 +310,8 @@ def ceil_div_cases(draw):
         st.integers(_D_EXACT - 3, _D_EXACT + 3),
         st.integers(1, 10**4),
     )
-    return draw(st.lists(anywhere, max_size=20)) + draw(st.lists(st.sampled_from(near), min_size=1, max_size=20)), m_bar
+    ds = draw(st.lists(anywhere, max_size=20))
+    return ds + draw(st.lists(st.sampled_from(near), min_size=1, max_size=20)), m_bar
 
 
 class TestCeilDivArray:
