@@ -96,11 +96,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+
+
+def _rel_error(x: float, t: int) -> float | None:
+    """|x - t| / t for an exact count t >= 0: 0.0 when t and x are both 0,
+    None when only t is."""
+    if t > 0:
+        return abs(x - t) / t
+    return 0.0 if x == 0 else None
 
 
 def cmd_estimate(args) -> int:
@@ -111,10 +121,7 @@ def cmd_estimate(args) -> int:
     if args.exact_check:
         t_true = int(count_ordered(graph).t)
         doc["exact"] = t_true
-        if t_true > 0:
-            doc["rel_error"] = abs(report.estimate - t_true) / t_true
-        else:
-            doc["rel_error"] = 0.0 if report.estimate == 0 else None
+        doc["rel_error"] = _rel_error(report.estimate, t_true)
     if args.json:
         _emit(json.dumps(doc, indent=2), args.out)
         return 0
@@ -241,10 +248,6 @@ def _bench_rows(args) -> list[dict]:
         for seed in seeds:
             oracle = QueryOracle(graph, seed=seed, budget=args.budget)
             report = estimate(oracle, args.epsilon, seed=seed)
-            if exact_t > 0:
-                rel_err = abs(report.estimate - exact_t) / exact_t
-            else:
-                rel_err = 0.0 if report.estimate == 0 else None
             rows.append(
                 {
                     "source": source,
@@ -253,7 +256,7 @@ def _bench_rows(args) -> list[dict]:
                     "m": graph.m,
                     "exact_t": exact_t,
                     "estimate": report.estimate,
-                    "rel_err": rel_err,
+                    "rel_err": _rel_error(report.estimate, exact_t),
                     "fallback_used": report.fallback_used,
                     "runs": report.runs,
                     "queries": report.queries,

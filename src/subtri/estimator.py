@@ -17,11 +17,11 @@ distinct degree queries an estimate pays anyway. The average-degree stage
 then returns the exact mean, so m_bar = m and the descent starts at Rivin's
 bound top = (sqrt(2)/3) * m^(3/2) instead of n^3. An advice run that reads
 V samples exactly uniform edges and calls no classifier (Assadi, Kapralov
-and Khanna, ITCS 2019, count from uniform edges without one); the runs of
-one estimate that read V share one degree-weighted sampler over it, which
-draws the vertex of a uniform CSR slot. Both
-places read V through QueryOracle.q_degree_all, which charges the n degree
-queries once and returns the graph's degree array without a sort or a copy.
+and Khanna, ITCS 2019, count from uniform edges without one); it builds a
+degree-weighted sampler over V, which draws the vertex of a uniform CSR
+slot. Both places read V through QueryOracle.q_degree_all, which charges
+the n degree queries once and returns the graph's degree array without a
+sort or a copy, so reading V again charges nothing.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ class DegreeWeightedSampler:
     uniform CSR slot and draws its row's vertex, Graph.slot_sources: the
     uniform-edge draw of Assadi, Kapralov and Khanna. That is the vertex a
     sampler over arange(n) draws from the same Generator, with no search,
-    and building the sampler allocates nothing. estimate builds one such
-    sampler per estimate and shares it among the advice runs that read V.
+    and building the sampler allocates nothing. Each advice run that reads
+    V builds its own.
     """
 
     def __init__(self, oracle: QueryOracle, vertices: np.ndarray | None = None):
@@ -159,7 +159,6 @@ def estimate_with_advice(
     params: EstimatorParams | None = None,
     seed=None,
     verdict_cache: dict[int, str] | None = None,
-    v_sampler: DegreeWeightedSampler | None = None,
 ) -> float:
     """One advice-driven estimate X of the triangle count.
 
@@ -178,11 +177,8 @@ def estimate_with_advice(
     verdict_cache every hit's three vertices are LIGHT, so the run scores
     each hit a third of its score without looking its vertices up; the sum
     is the one the lookup would give, to the bit, and the cache stays empty.
-    It draws from v_sampler, a DegreeWeightedSampler over V that estimate
-    builds once and shares among its runs, or from one it builds itself
-    when none is passed; the two draw alike: a uniform CSR slot's vertex.
-    A run that draws S ignores v_sampler.
-    MAX_RUN_SAMPLES bounds min(s1, n) and s2.
+    It draws from a DegreeWeightedSampler over V: a uniform CSR slot's
+    vertex. MAX_RUN_SAMPLES bounds min(s1, n) and s2.
 
     The edge sampling, thinning and probing is heavy.edge_hits, the kernel
     the classifier samples with: a sample probes at all with probability
@@ -226,7 +222,7 @@ def estimate_with_advice(
             "ceiling; loosen eps or use practical-profile parameters"
         )
     if read_v:
-        sampler = v_sampler if v_sampler is not None else DegreeWeightedSampler(oracle)
+        sampler = DegreeWeightedSampler(oracle)
     else:
         sampler = DegreeWeightedSampler(oracle, oracle.sample_vertices(s1, np_rng))
     if sampler.total_degree == 0:
@@ -362,24 +358,21 @@ def estimate(
     stage reads V, m_bar = m exactly and Rivin's bound t <= (sqrt(2)/3) *
     m^(3/2), which is at most n^3 / 6, holds for the graph itself, so the
     descent starts there; levels above it could only accept by a false
-    draw. In that case estimate also builds one DegreeWeightedSampler over
-    V before the descent and passes it to every run. A run that reads V
-    draws from it. The first stage's q_degree_all charges the n degree
-    queries in one pass with no sort and the sampler's charges nothing, so
-    an estimate reads V once however many of its runs read V.
+    draw. The first stage's q_degree_all charges the n degree queries in
+    one pass with no sort, and each run that reads V after it charges
+    nothing, so an estimate pays for V once however many of its runs
+    read V.
 
     The descent's cost is what it spends down to the first level at or below
     t, as in the analysis (Eden, Levi, Ron, Seshadhri, FOCS 2015):
     RUNS_PER_LEVEL runs at the accepting level and, at each rejected level,
     the runs up to its first one below t_bar, most often just that one. A
     budget that all RUNS_PER_LEVEL runs at every level would trip may so
-    trip later, or not at all. Each level is visited once: re-descending
-    from n^3 whenever the floor halves, as this code once did, made
-    L(L+1)/2 visits for L levels. A revisit bought little. At a level above
-    t it is one more false-accept draw: E[X] <= t, so by Markov each visit
-    accepts with probability at most t / t_bar. At a level just below t it
-    is a second try at a cheaper level, but only after the whole prefix
-    above it has been paid for again.
+    trip later, or not at all. Each level is visited once; a revisit buys
+    little. At a level above t it is one more false-accept draw: E[X] <= t,
+    so by Markov each visit accepts with probability at most t / t_bar. At
+    a level just below t it is a second try at a cheaper level, but only
+    after the whole prefix above it has been paid for again.
     """
     t_start = time.perf_counter()
     if params is None:
@@ -409,12 +402,9 @@ def estimate(
     accepted_level: float | None = None
     reason = "descent_exhausted"
     if m_bar > 0:
-        reads_v = _feige_reads_v(n)
-        # The runs that read V share one sampler over it.
-        v_sampler = DegreeWeightedSampler(oracle) if reads_v else None
         try:
             # With m_bar = m exactly, Rivin's bound caps t.
-            top = RIVIN * m_bar**1.5 if reads_v else float(n) ** 3
+            top = RIVIN * m_bar**1.5 if _feige_reads_v(n) else float(n) ** 3
             for level in range(int(top).bit_length()):
                 t_bar = top / 2.0**level
                 cache: dict[int, str] = {}
@@ -423,7 +413,7 @@ def estimate(
                     run_ss = np.random.SeedSequence(entropy=loop_entropy, spawn_key=(level, run_i))
                     x_final = min(x_final, estimate_with_advice(
                         oracle, m_bar, t_bar, eps_eff, params,
-                        seed=run_ss, verdict_cache=cache, v_sampler=v_sampler,
+                        seed=run_ss, verdict_cache=cache,
                     ))
                     runs += 1
                     if x_final < t_bar:

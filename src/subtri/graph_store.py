@@ -29,6 +29,13 @@ class GraphFormatError(ValueError):
 MAX_VERTICES = math.isqrt(2**63 - 1)
 
 
+def precedes_by_degree(du, u, dv, v):
+    """Whether vertex u, of degree du, comes before vertex v, of degree dv,
+    in the (degree, id) vertex order. Works elementwise on arrays as well as
+    on scalars; Graph.precedes and heavy.edge_hits both order by it."""
+    return (du < dv) | ((du == dv) & (u < v))
+
+
 class Graph:
     """Static simple undirected graph with ordered adjacency.
 
@@ -38,7 +45,7 @@ class Graph:
     source * n + targets[s], so the keys ascend over all 2m slots; the arrays
     are read-only. Vertices precede one another by (degree, id); this order
     drives the triangle-assignment logic downstream, so it is part of the
-    public API.
+    public API: precedes_by_degree defines it.
     """
 
     __slots__ = ("n", "m", "degrees", "offsets", "targets", "_keys")
@@ -183,8 +190,7 @@ class Graph:
 
     def precedes(self, u: int, v: int) -> bool:
         """True when u comes before v in the (degree, id) vertex order."""
-        du, dv = self.degrees[u], self.degrees[v]
-        return bool(du < dv or (du == dv and u < v))
+        return bool(precedes_by_degree(self.degrees[u], u, self.degrees[v], v))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once as (min id, max id), in ascending order:

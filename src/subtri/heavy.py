@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph_store import precedes_by_degree
+
 HEAVY = "heavy"
 LIGHT = "light"
 BORDERLINE = "borderline"
@@ -137,13 +139,13 @@ def edge_hits(oracle, vs, dvs, m_bar: float, rng: np.random.Generator):
     rs = np.zeros(vs.size, dtype=np.int64)
     rs[kept] = ceil_div_by_sqrt_array(dus[kept], m_bar)
     at = np.repeat(np.arange(vs.size), rs)
-    x_first = (dxs < dvs) | ((dxs == dvs) & (xs < vs))
+    x_first = precedes_by_degree(dxs, xs, dvs, vs)
     ws = oracle.q_neighbor_batch(np.where(x_first, xs, vs)[at], rng.integers(1, dus[at] + 1))
     cand = np.flatnonzero((ws != vs[at]) & (ws != xs[at]))
     closed = cand[oracle.q_pair_batch(np.where(x_first, vs, xs)[at[cand]], ws[cand])]
     at, ws = at[closed], ws[closed]
     dws = oracle.q_degree_batch(ws)
-    after = (dxs[at] < dws) | ((dxs[at] == dws) & (xs[at] < ws))
+    after = precedes_by_degree(dxs[at], xs[at], dws, ws)
     hit, ws = at[after], ws[after]
     return hit, xs[hit], ws, np.maximum(dus[hit], sqrt_m) / rs[hit]
 

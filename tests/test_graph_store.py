@@ -166,13 +166,19 @@ class TestVertexOrder:
 
     def test_total_order_on_random_graph(self):
         g = gnp_graph(60, 0.15, seed=9)
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            u, v, w = (int(x) for x in rng.integers(0, g.n, size=3))
-            if u != v:
-                assert g.precedes(u, v) != g.precedes(v, u)
-            if g.precedes(u, v) and g.precedes(v, w):
-                assert g.precedes(u, w)
+        # The array form orders every pair at once; it must be
+        # Graph.precedes on each pair, and both forms must be total orders.
+        ids = np.arange(g.n)
+        table = graph_store.precedes_by_degree(g.degrees[:, None], ids[:, None], g.degrees, ids)
+        assert table.tolist() == [[g.precedes(u, v) for v in range(g.n)] for u in range(g.n)]
+        for precedes in (g.precedes, lambda u, v: bool(table[u, v])):
+            rng = np.random.default_rng(3)
+            for _ in range(200):
+                u, v, w = (int(x) for x in rng.integers(0, g.n, size=3))
+                if u != v:
+                    assert precedes(u, v) != precedes(v, u)
+                if precedes(u, v) and precedes(v, w):
+                    assert precedes(u, w)
 
 
 class TestInvariants:

@@ -31,7 +31,7 @@ from subtri.graph_store import MAX_VERTICES, Graph
 from subtri.heavy import ceil_div_by_sqrt, ceil_div_by_sqrt_array
 from subtri.lb_gen import gen_clique_family, gen_g2_matching
 from subtri.query_oracle import BudgetExhausted, QueryOracle, QueryStats
-from util import gnp_graph
+from util import chung_lu, gnp_graph
 
 
 @st.composite
@@ -807,16 +807,6 @@ def closing_sides(graph: Graph) -> tuple[int, int]:
     return sides[0], sides[1]
 
 
-def chung_lu(n: int, pairs: int, beta: float, seed: int) -> Graph:
-    """Skewed graph: endpoint pairs drawn with P ~ w_i w_j, w_i = (i + 10)^(-1/(beta - 1))."""
-    rng = np.random.default_rng(seed)
-    w = (np.arange(n, dtype=np.float64) + 10.0) ** (-1.0 / (beta - 1.0))
-    u, v = rng.choice(n, size=(2, pairs), p=w / w.sum())
-    keep = u != v
-    keys = np.unique(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
-    return Graph.from_edges(n, np.stack([keys // n, keys % n], axis=1))
-
-
 # Small graphs shaped like the benchmark's: the g2-matching panels, the
 # hidden clique, a Chung-Lu graph with the powerlaw file's weights, and G(n, p).
 KERNEL_GRAPHS = {
@@ -1045,7 +1035,6 @@ def full_descent(oracle: QueryOracle, eps: float, seed: int) -> tuple[float, flo
     m_bar = oracle.n * feige_avg_degree(oracle, seed=feige_ss) / 2.0
     if m_bar > 0:
         reads_v = estimator._feige_reads_v(oracle.n)
-        v_sampler = DegreeWeightedSampler(oracle) if reads_v else None
         top = estimator.RIVIN * m_bar**1.5 if reads_v else float(oracle.n) ** 3
         for level in range(int(top).bit_length()):
             t_bar = top / 2.0**level
@@ -1054,7 +1043,7 @@ def full_descent(oracle: QueryOracle, eps: float, seed: int) -> tuple[float, flo
                 estimate_with_advice(
                     oracle, m_bar, t_bar, eps, params,
                     seed=np.random.SeedSequence(entropy=loop_entropy, spawn_key=(level, run_i)),
-                    verdict_cache=cache, v_sampler=v_sampler,
+                    verdict_cache=cache,
                 )
                 for run_i in range(RUNS_PER_LEVEL)
             ]

@@ -31,6 +31,16 @@ def gnp_graph(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, gnp_edges(n, p, seed))
 
 
+def chung_lu(n: int, pairs: int, beta: float, seed: int) -> Graph:
+    """Skewed graph: endpoint pairs drawn with P ~ w_i w_j, w_i = (i + 10)^(-1/(beta - 1))."""
+    rng = np.random.default_rng(seed)
+    w = (np.arange(n, dtype=np.float64) + 10.0) ** (-1.0 / (beta - 1.0))
+    u, v = rng.choice(n, size=(2, pairs), p=w / w.sum())
+    keep = u != v
+    keys = np.unique(np.minimum(u, v)[keep] * n + np.maximum(u, v)[keep])
+    return Graph.from_edges(n, np.stack([keys // n, keys % n], axis=1))
+
+
 def complete_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
